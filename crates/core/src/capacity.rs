@@ -20,6 +20,7 @@
 //! A positive answer returns a [`ClosureProof`] — the construction itself —
 //! which callers can independently validate by evaluation.
 
+use crate::closure::ClosureMember;
 use crate::error::CoreError;
 use crate::query::Query;
 use std::collections::{BTreeSet, HashMap};
@@ -143,6 +144,10 @@ pub struct ClosureContext {
     /// Levels supplied by a hydrated snapshot (0 when cold). The space may
     /// extend past this in memory; `export_space` re-persists only then.
     hydrated_levels: usize,
+    /// Bounded closure frontiers already enumerated, by atom bound (see
+    /// `ClosureContext::members`). The query set never changes, so neither
+    /// does a completed frontier.
+    pub(crate) frontier_memo: HashMap<usize, Vec<ClosureMember>>,
 }
 
 impl ClosureContext {
@@ -177,6 +182,7 @@ impl ClosureContext {
             probes: 0,
             pending_snapshot: None,
             hydrated_levels: 0,
+            frontier_memo: HashMap::new(),
         }
     }
 
@@ -407,10 +413,10 @@ impl ClosureContext {
     /// Enumerate every candidate construction over the query set with at
     /// most `max_atoms` skeleton atoms — all roots of the shared space, no
     /// goal filter — each with its substituted template over the underlying
-    /// schema. `crate::closure::ClosureContext::for_each_member` builds the
-    /// deduplicated closure frontier on top; routing through the context
-    /// shares the lazily extended space across repeated frontier sweeps
-    /// (the scenario `diff` command grows `k` against one context this way).
+    /// schema. `crate::closure::ClosureContext::members` builds the
+    /// deduplicated, memoized closure frontier on top; routing through the
+    /// context shares the lazily extended space across frontier sweeps at
+    /// growing bounds.
     pub fn for_each_substitution(
         &mut self,
         max_atoms: usize,

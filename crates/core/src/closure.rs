@@ -7,14 +7,29 @@
 //! with at most `max_atoms` skeleton atoms — useful for auditing what a
 //! view exposes, for the uniqueness experiments, and for the benchmark
 //! harness.
+//!
+//! **Costs.** Members are reduced templates, and two reduced templates are
+//! equivalent exactly when they are isomorphic (Prop. 2.4.3), so member
+//! dedup and the frontier diff key each member by its exact canonical key:
+//! one hash lookup per member instead of an `equiv` homomorphism search
+//! against every member seen so far. Only members whose key is inexact
+//! (too many look-alike tuples to canonicalize) fall back to that scan.
+//! A [`ClosureContext`] memoizes its frontier per atom bound, so a repeated
+//! sweep costs one map lookup and a repeated diff of the same version pair
+//! one hash lookup per member.
 
 use crate::capacity::{ClosureContext, SearchBudget};
 use crate::query::Query;
 use crate::view::View;
+use std::collections::HashSet;
 use std::ops::ControlFlow;
-use viewcap_base::{Catalog, RelId};
+use viewcap_base::Catalog;
 use viewcap_expr::Expr;
-use viewcap_template::{substitute, Assignment, SearchOverflow};
+use viewcap_obs as obs;
+use viewcap_template::{CanonKey, SearchOverflow};
+
+/// Frontier sweeps answered from a context's memo.
+static MEMO_HITS: obs::Counter = obs::Counter::new("core.frontier.memo_hits");
 
 /// One enumerated member of a closure.
 #[derive(Clone, Debug)]
@@ -28,11 +43,57 @@ pub struct ClosureMember {
     pub construction_size: usize,
 }
 
+/// Frontier members up to query equivalence.
+///
+/// Isomorphic templates have the same tuple groups, so their canonical
+/// keys are both exact or both inexact: an exact-keyed query can only
+/// match an exact-keyed member with the same key, and an inexact-keyed one
+/// only an inexact-keyed member, found by `equiv`.
+#[derive(Default)]
+struct MemberSet {
+    exact: HashSet<CanonKey>,
+    inexact: Vec<Query>,
+}
+
+impl MemberSet {
+    fn of<'a>(queries: impl IntoIterator<Item = &'a Query>) -> MemberSet {
+        let mut set = MemberSet::default();
+        for q in queries {
+            set.insert(q);
+        }
+        set
+    }
+
+    fn contains(&self, q: &Query) -> bool {
+        let key = q.canonical_key();
+        if key.is_exact() {
+            self.exact.contains(key)
+        } else {
+            self.inexact.iter().any(|s| s.equiv(q))
+        }
+    }
+
+    /// Add `q`; `false` when an equivalent member is already present.
+    fn insert(&mut self, q: &Query) -> bool {
+        let key = q.canonical_key();
+        if key.is_exact() {
+            self.exact.insert(key.clone())
+        } else if self.contains(q) {
+            false
+        } else {
+            self.inexact.push(q.clone());
+            true
+        }
+    }
+}
+
 /// Enumerate the pairwise-inequivalent members of `closure(queries)`
 /// realizable with at most `max_atoms` construction atoms.
 ///
 /// Members are produced in nondecreasing construction size. The callback
-/// may stop the enumeration.
+/// may stop the visit. One-shot wrapper over a throwaway
+/// [`ClosureContext`]; callers sweeping one query set repeatedly should
+/// hold the context.
 pub fn for_each_closure_member(
     queries: &[Query],
     max_atoms: usize,
@@ -40,44 +101,7 @@ pub fn for_each_closure_member(
     budget: &SearchBudget,
     f: &mut dyn FnMut(&ClosureMember) -> ControlFlow<()>,
 ) -> Result<(), SearchOverflow> {
-    if queries.is_empty() {
-        return Ok(());
-    }
-    let mut scratch = catalog.clone();
-    let mut beta = Assignment::new();
-    let mut atoms: Vec<RelId> = Vec::with_capacity(queries.len());
-    for q in queries {
-        let lam = scratch.fresh_relation("lam", q.trs());
-        beta.set(lam, q.template().clone(), &scratch)
-            .expect("λ type minted to match");
-        atoms.push(lam);
-    }
-    // The search engine already deduplicates semantically over the λ level;
-    // two skeletons with equivalent λ-templates substitute to equivalent
-    // members, but distinct λ-templates can also collide after
-    // substitution, so dedup again at the member level.
-    let mut seen: Vec<Query> = Vec::new();
-    viewcap_template::for_each_candidate(
-        &scratch,
-        &atoms,
-        max_atoms,
-        None,
-        &budget.limits,
-        &mut |expr, skel| {
-            let sub = substitute(skel, &beta, &scratch).expect("every λ assigned");
-            let member = Query::from_template(&sub.result);
-            if seen.iter().any(|s| s.equiv(&member)) {
-                return ControlFlow::Continue(());
-            }
-            seen.push(member.clone());
-            f(&ClosureMember {
-                query: member,
-                skeleton: expr.clone(),
-                construction_size: expr.atom_count(),
-            })
-        },
-    )?;
-    Ok(())
+    ClosureContext::new(queries, catalog, budget).for_each_member(max_atoms, f)
 }
 
 /// Collect the bounded closure frontier as a vector.
@@ -87,50 +111,69 @@ pub fn closure_members(
     catalog: &Catalog,
     budget: &SearchBudget,
 ) -> Result<Vec<ClosureMember>, SearchOverflow> {
-    let mut out = Vec::new();
-    for_each_closure_member(queries, max_atoms, catalog, budget, &mut |m| {
-        out.push(m.clone());
-        ControlFlow::Continue(())
-    })?;
-    Ok(out)
+    ClosureContext::new(queries, catalog, budget).members(max_atoms)
 }
 
 impl ClosureContext {
-    /// Enumerate the bounded closure frontier through this shared context —
-    /// identical members, in the identical order, to
-    /// [`for_each_closure_member`] over the same query set, but reusing the
-    /// context's lazily extended candidate space across sweeps (repeated or
-    /// growing-`k` frontier requests pay only the incremental levels).
+    /// The bounded closure frontier through this shared context. The
+    /// first sweep at a bound extends the context's lazily built candidate
+    /// space (so growing-`k` requests pay only the incremental levels) and
+    /// memoizes its members; later sweeps at that bound are a lookup. An
+    /// overflowing sweep is never memoized, so a retry overflows again.
+    ///
+    /// The search engine already deduplicates semantically over the λ
+    /// level; two skeletons with equivalent λ-templates substitute to
+    /// equivalent members, but distinct λ-templates can also collide after
+    /// substitution, so members are deduplicated again here.
+    fn frontier(&mut self, max_atoms: usize) -> Result<&[ClosureMember], SearchOverflow> {
+        /// One span per enumerated (not memoized) frontier.
+        static MEMBERS_SPAN: obs::SpanDef = obs::SpanDef::new(
+            "core.frontier.members",
+            "enum",
+            "span.core.frontier.members",
+        );
+        if self.frontier_memo.contains_key(&max_atoms) {
+            MEMO_HITS.add(1);
+        } else {
+            let mut span = MEMBERS_SPAN.start();
+            span.arg("max_atoms", max_atoms as u64);
+            let mut seen = MemberSet::default();
+            let mut members = Vec::new();
+            self.for_each_substitution(max_atoms, &mut |expr, _skel, sub| {
+                let member = Query::from_template(&sub.result);
+                if seen.insert(&member) {
+                    members.push(ClosureMember {
+                        query: member,
+                        skeleton: expr.clone(),
+                        construction_size: expr.atom_count(),
+                    });
+                }
+                ControlFlow::Continue(())
+            })?;
+            span.arg("members", members.len() as u64);
+            self.frontier_memo.insert(max_atoms, members);
+        }
+        Ok(&self.frontier_memo[&max_atoms])
+    }
+
+    /// Visit the bounded frontier (see [`ClosureContext::members`]); the
+    /// callback may stop the visit.
     pub fn for_each_member(
         &mut self,
         max_atoms: usize,
         f: &mut dyn FnMut(&ClosureMember) -> ControlFlow<()>,
     ) -> Result<(), SearchOverflow> {
-        let mut seen: Vec<Query> = Vec::new();
-        self.for_each_substitution(max_atoms, &mut |expr, _skel, sub| {
-            let member = Query::from_template(&sub.result);
-            if seen.iter().any(|s| s.equiv(&member)) {
-                return ControlFlow::Continue(());
+        for m in self.frontier(max_atoms)? {
+            if f(m).is_break() {
+                break;
             }
-            seen.push(member.clone());
-            f(&ClosureMember {
-                query: member,
-                skeleton: expr.clone(),
-                construction_size: expr.atom_count(),
-            })
-        })?;
+        }
         Ok(())
     }
 
-    /// Collect the bounded frontier as a vector (see
-    /// [`ClosureContext::for_each_member`]).
+    /// Collect the bounded closure frontier, memoized per atom bound.
     pub fn members(&mut self, max_atoms: usize) -> Result<Vec<ClosureMember>, SearchOverflow> {
-        let mut out = Vec::new();
-        self.for_each_member(max_atoms, &mut |m| {
-            out.push(m.clone());
-            ControlFlow::Continue(())
-        })?;
-        Ok(out)
+        Ok(self.frontier(max_atoms)?.to_vec())
     }
 }
 
@@ -158,26 +201,29 @@ impl FrontierDiff {
 }
 
 /// Diff the bounded capacity frontiers of two versions through their shared
-/// contexts. Each context amortizes its candidate space across calls, so
-/// re-diffing the same version pair (or growing `max_atoms`) pays only the
-/// incremental enumeration.
+/// contexts. Each context memoizes its frontier per bound, so re-diffing the
+/// same version pair costs a keyed filter of the two member lists, and
+/// growing `max_atoms` pays only the incremental enumeration.
 pub fn frontier_diff(
     left: &mut ClosureContext,
     right: &mut ClosureContext,
     max_atoms: usize,
 ) -> Result<FrontierDiff, SearchOverflow> {
-    let lm = left.members(max_atoms)?;
-    let rm = right.members(max_atoms)?;
-    let only_left: Vec<ClosureMember> = lm
-        .iter()
-        .filter(|m| !rm.iter().any(|n| n.query.equiv(&m.query)))
-        .cloned()
-        .collect();
-    let only_right: Vec<ClosureMember> = rm
-        .iter()
-        .filter(|m| !lm.iter().any(|n| n.query.equiv(&m.query)))
-        .cloned()
-        .collect();
+    static DIFF_SPAN: obs::SpanDef =
+        obs::SpanDef::new("core.frontier.diff", "enum", "span.core.frontier.diff");
+    let mut span = DIFF_SPAN.start();
+    span.arg("max_atoms", max_atoms as u64);
+    let lm = left.frontier(max_atoms)?;
+    let rm = right.frontier(max_atoms)?;
+    let only = |mine: &[ClosureMember], theirs: &[ClosureMember]| -> Vec<ClosureMember> {
+        let theirs = MemberSet::of(theirs.iter().map(|m| &m.query));
+        mine.iter()
+            .filter(|m| !theirs.contains(&m.query))
+            .cloned()
+            .collect()
+    };
+    let only_left = only(lm, rm);
+    let only_right = only(rm, lm);
     let common = lm.len() - only_left.len();
     Ok(FrontierDiff {
         only_left,
@@ -203,6 +249,7 @@ mod tests {
     use super::*;
     use crate::capacity::closure_contains;
     use viewcap_expr::parse_expr;
+    use viewcap_template::SearchLimits;
 
     fn setup() -> Catalog {
         let mut cat = Catalog::new();
@@ -285,6 +332,36 @@ mod tests {
                 assert_eq!(s.construction_size, f.construction_size);
             }
         }
+    }
+
+    #[test]
+    fn repeated_sweeps_are_served_from_the_memo() {
+        let cat = setup();
+        let base = [q(&cat, "pi{A,B}(R)"), q(&cat, "pi{B,C}(R)")];
+        let mut context = ClosureContext::new(&base, &cat, &SearchBudget::default());
+        let first = context.members(2).unwrap();
+        let stats = context.search_stats();
+        let again = context.members(2).unwrap();
+        assert_eq!(
+            context.search_stats(),
+            stats,
+            "a memoized sweep did search work"
+        );
+        assert_eq!(first.len(), again.len());
+        for (a, b) in first.iter().zip(&again) {
+            assert_eq!(a.query.template(), b.query.template());
+        }
+        // An overflowing bound is never memoized: the retry overflows too.
+        let tight = SearchBudget {
+            limits: SearchLimits {
+                max_visits: 1,
+                ..SearchLimits::default()
+            },
+            max_atoms_override: None,
+        };
+        let mut context = ClosureContext::new(&base, &cat, &tight);
+        assert!(context.members(2).is_err());
+        assert!(context.members(2).is_err());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
-use viewcap_base::{Catalog, Instantiation, RelId, Relation, Scheme};
+use viewcap_base::{AttrId, Catalog, Instantiation, RelId, Relation, Scheme};
 use viewcap_expr::Expr;
 use viewcap_template::{
     canonical_key, canonical_key_with, equivalent_templates, eval_template, join_templates,
@@ -30,7 +30,7 @@ pub struct Query {
     /// it once per `Query` object — and once per *lineage*, since clones
     /// copy a filled cell — is ROADMAP's "cache per-Query keys" item).
     canon: OnceLock<CanonKey>,
-    /// Lazily computed *content* key plus, for the debug-mode misuse
+    /// Lazily computed *content* key plus, for the catalog-mismatch
     /// guard, the content digests of the relations the template mentions
     /// at the time the key was computed (see [`Query::content_key`]).
     content: OnceLock<(Vec<(RelId, u128)>, CanonKey)>,
@@ -101,37 +101,48 @@ impl Query {
     /// Tuples are labeled by relation *content digests*
     /// ([`Catalog::rel_digest`]) and rows traversed in attribute *name*
     /// order, so two catalogs declaring the same relations in any order
-    /// assign equal keys to equal query content. Memoized like
-    /// [`Query::canonical_key`]; a query is bound to the catalog it was
-    /// built against (its template embeds that catalog's ids), and the key
-    /// is stable under later growth of that same catalog, so one memo cell
-    /// suffices. Debug builds assert that precondition: passing a catalog
-    /// that assigns the mentioned relations *different content* than the
-    /// memoized call's catalog panics instead of silently returning a key
-    /// that is wrong for the new catalog.
+    /// assign equal keys to equal query content. Only the relations the
+    /// template mentions are digested, and only their attributes ranked
+    /// (only the relative order of ranks enters the key), so the first
+    /// call costs O(|template|) plus the canonicalization, independent of
+    /// the catalog's size.
+    ///
+    /// Memoized like [`Query::canonical_key`]; a query is bound to the
+    /// catalog it was built against (its template embeds that catalog's
+    /// ids), and the key is stable under later growth of that same
+    /// catalog, so one memo cell suffices. Every call checks that
+    /// precondition — O(|mentioned relations|) digests — and panics when
+    /// `catalog` assigns a mentioned relation *different content* than the
+    /// memoized call's catalog did, instead of returning a key that is
+    /// wrong for it.
     pub fn content_key(&self, catalog: &Catalog) -> &CanonKey {
         let (mentioned, key) = self.content.get_or_init(|| {
-            let digests: Vec<u128> = catalog
-                .relations()
-                .map(|r| catalog.rel_digest(r).as_u128())
-                .collect();
-            let ranks = catalog.attr_name_ranks();
-            let key = canonical_key_with(
-                &self.template,
-                &KeyLabels {
-                    rel_label: &|r| digests[r.index()],
-                    attr_rank: &|a| ranks[a.index()] as u64,
-                },
-            );
-            let mentioned = self
+            let mentioned: Vec<(RelId, u128)> = self
                 .template
                 .rel_names()
                 .into_iter()
-                .map(|r| (r, digests[r.index()]))
+                .map(|r| (r, catalog.rel_digest(r).as_u128()))
                 .collect();
+            // `(attribute, rank by name)` over the mentioned schemes, sorted
+            // by attribute for lookup.
+            let mut by_name: Vec<AttrId> = mentioned
+                .iter()
+                .flat_map(|&(r, _)| catalog.scheme_of(r).iter())
+                .collect();
+            by_name.sort_unstable_by_key(|&a| catalog.attr_name(a));
+            by_name.dedup();
+            let mut ranks: Vec<(AttrId, u64)> = by_name.into_iter().zip(0..).collect();
+            ranks.sort_unstable();
+            let key = canonical_key_with(
+                &self.template,
+                &KeyLabels {
+                    rel_label: &|r| lookup(&mentioned, r),
+                    attr_rank: &|a| lookup(&ranks, a),
+                },
+            );
             (mentioned, key)
         });
-        debug_assert!(
+        assert!(
             mentioned
                 .iter()
                 .all(|&(r, digest)| r.index() < catalog.rel_count()
@@ -178,6 +189,11 @@ impl Query {
             content: OnceLock::new(),
         }
     }
+}
+
+/// The value paired with `key` in a table sorted by key (which must hold it).
+fn lookup<K: Ord + Copy, V: Copy>(table: &[(K, V)], key: K) -> V {
+    table[table.partition_point(|&(k, _)| k < key)].1
 }
 
 /// A query set (Section 1.5): an ordered collection of queries with
@@ -310,6 +326,28 @@ mod tests {
         assert!(dd.contains_equiv(&q1));
         assert!(dd.contains_equiv(&q3));
         assert!(qs.same_modulo_equiv(&dd));
+    }
+
+    #[test]
+    fn content_key_survives_catalog_growth() {
+        let mut cat = setup();
+        let q1 = Query::from_expr(parse_expr("pi{A,B}(R)", &cat).unwrap(), &cat);
+        let key = q1.content_key(&cat).clone();
+        cat.relation("S", &["AA", "B"]).unwrap();
+        assert_eq!(q1.content_key(&cat), &key);
+    }
+
+    #[test]
+    #[should_panic(expected = "disagrees with the one the key was memoized against")]
+    fn content_key_rejects_a_catalog_with_different_content() {
+        let cat = setup();
+        let q1 = Query::from_expr(parse_expr("pi{A,B}(R)", &cat).unwrap(), &cat);
+        q1.content_key(&cat);
+        // Same id, same name, different scheme: the memoized key would be
+        // wrong for this catalog.
+        let mut other = Catalog::new();
+        other.relation("R", &["A", "B", "D"]).unwrap();
+        q1.content_key(&other);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! process flips the enabled flag).
 
 use viewcap::scenario::{run_scenario_with, ScenarioOptions};
+use viewcap_gen::{frontier_diff_stream, FleetSpec};
 
 /// Serializes the tests in this binary on the process-global registry.
 static REGISTRY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -48,6 +49,43 @@ fn counters_identical_across_jobs() {
         );
     }
     viewcap_obs::set_enabled(false);
+}
+
+#[test]
+fn frontier_diff_counters_identical_across_jobs() {
+    // A generated `diff` stream: popular version pairs are re-diffed, so
+    // both memo misses (enumerated frontiers) and memo hits occur.
+    let spec = FleetSpec {
+        views: 24,
+        base_rels: 4,
+        events: 40,
+        batch_size: 4,
+        ..FleetSpec::default()
+    };
+    let src = frontier_diff_stream(5, &spec).source;
+    let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    viewcap_obs::set_enabled(true);
+    let sequential = counters_for(&src, 1);
+    let parallel = counters_for(&src, 4);
+    viewcap_obs::set_enabled(false);
+    assert_eq!(
+        sequential, parallel,
+        "diff: counter metrics must not depend on --jobs"
+    );
+    for counter in [
+        "span.core.frontier.diff",
+        "span.core.frontier.members",
+        "core.frontier.memo_hits",
+    ] {
+        let value = sequential
+            .lines()
+            .find_map(|line| line.strip_prefix(counter)?.strip_prefix(' '))
+            .and_then(|v| v.parse::<u64>().ok());
+        assert!(
+            value.is_some_and(|v| v > 0),
+            "diff: expected a nonzero {counter}, got:\n{sequential}"
+        );
+    }
 }
 
 #[test]
