@@ -207,8 +207,8 @@ fn space_err(path: &Path, e: SpaceStoreError) -> ConfigError {
 /// What one [`Session::persist`] call wrote back.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PersistSummary {
-    /// Bytes appended to the pile (0 without a pile, or when the cache
-    /// snapshot was empty).
+    /// Bytes appended to the pile (0 without a pile, or when the run
+    /// learned no verdict the pile lacked).
     pub pile_bytes: usize,
     /// Candidate-space snapshots harvested into the library.
     pub spaces_harvested: usize,
@@ -302,7 +302,7 @@ impl Session {
     }
 
     /// Write everything the configuration promised back out: save the
-    /// cache file, append the run's verdicts to the pile, and harvest
+    /// cache file, append the run's new verdicts to the pile, and harvest
     /// grown candidate spaces into the space file (rewritten only when
     /// something grew or the file does not exist yet; all file writes are
     /// atomic). `catalog` resolves natively computed witnesses to names —

@@ -418,13 +418,24 @@ fn assemble(attrs: &TableBuilder, rels: &TableBuilder, count: u64, entries: &[u8
 /// against some *other* catalog) is skipped rather than corrupting the
 /// file.
 pub fn save_cache(cache: &VerdictCache, catalog: &Catalog) -> Vec<u8> {
+    save_entries(cache, &cache.snapshot(), catalog)
+}
+
+/// Serialize a subset of `cache`'s entries — in the order given, which
+/// [`VerdictCache::snapshot`] sorts by key — as one complete cache file,
+/// resolving names exactly as [`save_cache`] does. The pile's delta
+/// appends ([`crate::PileStore::append_cache`]) encode through here.
+pub(crate) fn save_entries(
+    cache: &VerdictCache,
+    entries: &[(CacheKey, Entry)],
+    catalog: &Catalog,
+) -> Vec<u8> {
     let mut span = SAVE_SPAN.start();
-    let snapshot = cache.snapshot();
     let mut attrs = TableBuilder::default();
     let mut rels = TableBuilder::default();
-    let mut entries = Vec::new();
+    let mut encoded = Vec::new();
     let mut count = 0u64;
-    for (key, entry) in &snapshot {
+    for (key, entry) in entries {
         let names = if entry.foreign {
             match cache.import_tables() {
                 Some(tables) => NameSource::Tables(tables),
@@ -441,11 +452,11 @@ pub fn save_cache(cache: &VerdictCache, catalog: &Catalog) -> Vec<u8> {
             lambda: HashMap::new(),
         };
         if w.entry(key, entry).is_some() {
-            entries.extend_from_slice(&w.buf);
+            encoded.extend_from_slice(&w.buf);
             count += 1;
         }
     }
-    let bytes = assemble(&attrs, &rels, count, &entries);
+    let bytes = assemble(&attrs, &rels, count, &encoded);
     span.arg("bytes", bytes.len() as u64);
     span.arg("entries", count);
     PERSIST_OUT.add(bytes.len() as u64);
@@ -784,10 +795,20 @@ fn parse_cache(bytes: &[u8]) -> Result<ParsedCache, PersistError> {
 /// the relations the producing runs declared — fingerprints are
 /// content-addressed, so declaration order is immaterial.
 pub fn load_cache(bytes: &[u8], max_entries: Option<usize>) -> Result<VerdictCache, PersistError> {
+    load_cache_keyed(bytes, max_entries).map(|(cache, _)| cache)
+}
+
+/// [`load_cache`], also returning the key of every entry the file holds —
+/// including those the bound kept out of the cache.
+pub(crate) fn load_cache_keyed(
+    bytes: &[u8],
+    max_entries: Option<usize>,
+) -> Result<(VerdictCache, Vec<CacheKey>), PersistError> {
     let mut span = LOAD_SPAN.start();
     span.arg("bytes", bytes.len() as u64);
     PERSIST_IN.add(bytes.len() as u64);
     let parsed = parse_cache(bytes)?;
+    let keys = parsed.entries.iter().map(|(key, _)| *key).collect();
     let cache = VerdictCache::bounded(max_entries);
     cache.set_import_tables(Arc::new(parsed.tables));
     let keep_from = match max_entries {
@@ -797,7 +818,7 @@ pub fn load_cache(bytes: &[u8], max_entries: Option<usize>) -> Result<VerdictCac
     for (key, entry) in parsed.entries.into_iter().skip(keep_from) {
         cache.insert(key, entry);
     }
-    Ok(cache)
+    Ok((cache, keys))
 }
 
 /// Load a cache file. A missing file is an [`PersistError::Io`] error;

@@ -1,9 +1,10 @@
 //! The [`Pile`]-backed mode of the verdict cache: a crash-safe, shared,
 //! append-only store any number of workers can write concurrently.
 //!
-//! Every cache record in the pile carries a *complete* version-2 cache
-//! file ([`crate::persist`]) as its payload. That choice keeps the bridge
-//! honest in both directions:
+//! Every cache record in the pile carries a complete version-2 cache file
+//! ([`crate::persist`]) as its payload — holding the entries that one
+//! append found new, not the appender's whole cache. That choice keeps the
+//! bridge honest in both directions:
 //!
 //! * **import** ([`PileStore::append_cache_bytes`]) is "validate, then
 //!   append the file bytes" — an existing `.vcapcache` migrates without
@@ -15,6 +16,18 @@
 //!   "Merge" stops being an operation: point two engines at the same pile
 //!   and the union is just what the pile contains.
 //!
+//! Appends are deltas. A store remembers which cache keys — and, per
+//! candidate space, how long a snapshot — the pile already holds: seeded
+//! from the records [`PileStore::load`] / [`PileStore::load_spaces`]
+//! parse; the first append runs that load itself when none ran. An append
+//! encodes only what is not yet held, and one that finds nothing new
+//! writes nothing (no record, no `fdatasync`). Repeated identical runs therefore
+//! leave the pile exactly as the first run left it. Keys are
+//! content-addressed fingerprints, so a held key is the same verdict
+//! whichever process or catalog appended it; a key another process
+//! appended since this store last read the pile is at worst written twice,
+//! which merging absorbs.
+//!
 //! Concurrency: appends go through the pile's single-write `O_APPEND`
 //! discipline, so processes and threads interleave whole records, never
 //! bytes, and a reader polling mid-append can never observe a torn
@@ -22,23 +35,32 @@
 //! [`PileStore::recover`] truncates it back to the last valid prefix and
 //! reports what was dropped.
 
-use crate::cache::VerdictCache;
+use crate::cache::{CacheKey, VerdictCache};
 use crate::persist::{
-    merge_cache_bytes, save_cache, validate_cache_bytes, MergeReport, PersistError,
+    load_cache_keyed, merge_cache_bytes, save_entries, validate_cache_bytes, MergeReport,
+    PersistError,
 };
 use crate::spacestore::{SpaceLibrary, SpaceStoreError};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::Path;
 use viewcap_base::Catalog;
+use viewcap_obs as obs;
 use viewcap_pile::{Pile, PileError, RecoveryReport};
 
-/// Record kind of a cache snapshot (a whole version-2 cache file).
+/// Records appended by [`PileStore::append_cache`] /
+/// [`PileStore::append_spaces`], and calls of either that found nothing
+/// new and wrote nothing (telemetry; live only while enabled).
+static APPEND_RECORDS: obs::Counter = obs::Counter::new("pile.append.records");
+static APPEND_SKIPPED: obs::Counter = obs::Counter::new("pile.append.skipped");
+
+/// Record kind of a cache record (a version-2 cache file).
 pub const CACHE_RECORD_KIND: u8 = 1;
 
-/// Record kind of a candidate-space snapshot (a whole
-/// [`SpaceLibrary`] file). Rides the same pile as verdict records —
-/// readers of either kind skip the other — so one append-only file
-/// carries a catalog's full warm-start state.
+/// Record kind of a candidate-space record (a [`SpaceLibrary`] file).
+/// Rides the same pile as verdict records — readers of either kind skip
+/// the other — so one append-only file carries a catalog's full
+/// warm-start state.
 pub const SPACE_RECORD_KIND: u8 = 2;
 
 /// Why a pile-store operation failed.
@@ -87,15 +109,18 @@ impl From<SpaceStoreError> for PileStoreError {
 /// A verdict store over an append-only [`Pile`].
 pub struct PileStore {
     pile: Pile,
+    /// Cache keys the pile holds; `None` until a load or append reads them.
+    held: Option<HashSet<CacheKey>>,
+    /// Per space key, the snapshot length the pile holds (the longest
+    /// wins on load); `None` until a load or append reads them.
+    held_spaces: Option<HashMap<u128, usize>>,
 }
 
 impl PileStore {
     /// Open (creating if absent) a pile store. Rejects a structurally
     /// damaged pile; use [`PileStore::recover`] to truncate damage away.
     pub fn open(path: impl AsRef<Path>) -> Result<PileStore, PileStoreError> {
-        Ok(PileStore {
-            pile: Pile::open(path)?,
-        })
+        Ok(PileStore::over(Pile::open(path)?))
     }
 
     /// Open a pile store, truncating any damaged suffix (a crash
@@ -103,7 +128,15 @@ impl PileStore {
     /// anything was dropped — a daemon prints it on startup.
     pub fn recover(path: impl AsRef<Path>) -> Result<(PileStore, RecoveryReport), PileStoreError> {
         let (pile, report) = Pile::recover(path)?;
-        Ok((PileStore { pile }, report))
+        Ok((PileStore::over(pile), report))
+    }
+
+    fn over(pile: Pile) -> PileStore {
+        PileStore {
+            pile,
+            held: None,
+            held_spaces: None,
+        }
     }
 
     /// The pile's path.
@@ -111,20 +144,31 @@ impl PileStore {
         self.pile.path()
     }
 
-    /// Append `cache`'s current snapshot as one record (a complete v2
-    /// cache file, `catalog` resolving native entries' names). An empty
-    /// snapshot appends nothing. Returns the appended record's size in
-    /// bytes (0 when nothing was appended).
+    /// Append, as one record, the entries of `cache` the pile does not
+    /// hold yet (`catalog` resolving native entries' names). When every
+    /// entry is already held, appends nothing. Returns the appended
+    /// record's size in bytes (0 when nothing was appended).
     pub fn append_cache(
         &mut self,
         cache: &VerdictCache,
         catalog: &Catalog,
     ) -> Result<usize, PileStoreError> {
-        if cache.stats().entries == 0 {
+        if self.held.is_none() {
+            // Seeds `held`; a bound of one keeps the throwaway cache small.
+            self.load(Some(1))?;
+        }
+        let held = self.held.as_mut().expect("seeded above");
+        let mut fresh = cache.snapshot();
+        fresh.retain(|(key, _)| !held.contains(key));
+        if fresh.is_empty() {
+            APPEND_SKIPPED.add(1);
             return Ok(0);
         }
-        let bytes = save_cache(cache, catalog);
-        Ok(self.pile.append(CACHE_RECORD_KIND, &bytes)?)
+        let bytes = save_entries(cache, &fresh, catalog);
+        let written = self.pile.append(CACHE_RECORD_KIND, &bytes)?;
+        held.extend(fresh.iter().map(|(key, _)| *key));
+        APPEND_RECORDS.add(1);
+        Ok(written)
     }
 
     /// Import bridge: append an existing cache file's bytes as one record,
@@ -160,14 +204,18 @@ impl PileStore {
     /// `max_entries` (`None` = unbounded), ready for
     /// [`crate::EngineConfig::cache`]. Entries load `foreign` and translate
     /// into the live catalog on first hit, exactly as file-loaded caches
-    /// do.
+    /// do. Also records which keys the pile holds, so later appends write
+    /// only new verdicts.
     pub fn load(&mut self, max_entries: Option<usize>) -> Result<VerdictCache, PileStoreError> {
         let payloads = self.cache_payloads()?;
         if payloads.is_empty() {
+            self.held = Some(HashSet::new());
             return Ok(VerdictCache::bounded(max_entries));
         }
         let (merged, _) = merge_cache_bytes(&payloads)?;
-        Ok(crate::persist::load_cache(&merged, max_entries)?)
+        let (cache, keys) = load_cache_keyed(&merged, max_entries)?;
+        self.held = Some(keys.into_iter().collect());
+        Ok(cache)
     }
 
     /// Number of cache records currently in the pile.
@@ -175,14 +223,32 @@ impl PileStore {
         Ok(self.cache_payloads()?.len())
     }
 
-    /// Append a candidate-space library as one record (a complete
-    /// [`SpaceLibrary`] file). An empty library appends nothing. Returns
-    /// the appended record's size in bytes (0 when nothing was appended).
+    /// Append, as one record, the snapshots of `spaces` the pile does not
+    /// hold at their current length — new space keys, and spaces grown
+    /// since their last append. When nothing is new, appends nothing.
+    /// Returns the appended record's size in bytes (0 when nothing was
+    /// appended).
     pub fn append_spaces(&mut self, spaces: &SpaceLibrary) -> Result<usize, PileStoreError> {
-        if spaces.is_empty() {
+        if self.held_spaces.is_none() && self.load_spaces().is_err() {
+            // Space records that do not parse seed nothing: appending a
+            // snapshot twice is harmless, failing the caller's run is not.
+            self.held_spaces = Some(HashMap::new());
+        }
+        let held = self.held_spaces.as_mut().expect("seeded above");
+        let mut fresh = SpaceLibrary::new();
+        for (key, bytes) in spaces.iter() {
+            if held.get(&key).is_none_or(|&len| len < bytes.len()) {
+                fresh.insert(key, bytes.to_vec());
+            }
+        }
+        if fresh.is_empty() {
+            APPEND_SKIPPED.add(1);
             return Ok(0);
         }
-        Ok(self.pile.append(SPACE_RECORD_KIND, &spaces.to_bytes())?)
+        let written = self.pile.append(SPACE_RECORD_KIND, &fresh.to_bytes())?;
+        held.extend(fresh.iter().map(|(key, bytes)| (key, bytes.len())));
+        APPEND_RECORDS.add(1);
+        Ok(written)
     }
 
     /// Import bridge: append an existing space-library file's bytes as one
@@ -196,7 +262,8 @@ impl PileStore {
 
     /// The union of every space record, merged in append order (per space
     /// key, the snapshot with the most levels wins). An empty or
-    /// space-record-free pile loads an empty library.
+    /// space-record-free pile loads an empty library. Also records which
+    /// snapshots the pile holds, so later appends write only new ones.
     pub fn load_spaces(&mut self) -> Result<SpaceLibrary, PileStoreError> {
         let mut out = SpaceLibrary::new();
         for record in self.pile.records()? {
@@ -205,6 +272,7 @@ impl PileStore {
             }
             out.merge(SpaceLibrary::from_bytes(&record.payload)?);
         }
+        self.held_spaces = Some(out.iter().map(|(key, bytes)| (key, bytes.len())).collect());
         Ok(out)
     }
 
@@ -223,6 +291,7 @@ impl PileStore {
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use crate::persist::save_cache;
     use crate::workload::Check;
     use viewcap_core::{Query, View};
     use viewcap_expr::parse_expr;
@@ -382,6 +451,60 @@ mod tests {
             store.append_space_bytes(b"garbage"),
             Err(PileStoreError::Space(_))
         ));
+    }
+
+    #[test]
+    fn appends_write_only_what_the_pile_lacks() {
+        let (cat, view) = setup();
+        let path = tmp("delta");
+        let engine = Engine::new();
+        decide(&engine, &cat, &view, "pi{A}(R)");
+        decide(&engine, &cat, &view, "pi{B}(R)");
+        let mut store = PileStore::open(&path).unwrap();
+        assert!(store.append_cache(engine.cache(), &cat).unwrap() > 0);
+
+        // One more verdict: the next record carries it alone.
+        decide(&engine, &cat, &view, "pi{C}(R)");
+        assert!(store.append_cache(engine.cache(), &cat).unwrap() > 0);
+        let entries: Vec<usize> = store
+            .cache_payloads()
+            .unwrap()
+            .iter()
+            .map(|p| validate_cache_bytes(p).unwrap())
+            .collect();
+        assert_eq!(entries, [2, 1]);
+
+        // Nothing new: nothing written, by this handle or by a fresh one
+        // that never loaded (it reads the held keys on its first append).
+        let len = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(store.append_cache(engine.cache(), &cat).unwrap(), 0);
+        let mut fresh = PileStore::open(&path).unwrap();
+        assert_eq!(fresh.append_cache(engine.cache(), &cat).unwrap(), 0);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+
+        // The delta records merge to the whole cache.
+        let (merged, report) = fresh.merged_bytes().unwrap();
+        let (whole, _) = merge_cache_bytes(&[save_cache(engine.cache(), &cat)]).unwrap();
+        assert_eq!(merged, whole);
+        assert_eq!(report.replaced, 0);
+
+        // Spaces: a snapshot is appended again only once it has grown.
+        let mut lib = SpaceLibrary::new();
+        lib.insert(99, vec![1, 2, 3]);
+        assert!(fresh.append_spaces(&lib).unwrap() > 0);
+        assert_eq!(fresh.append_spaces(&lib).unwrap(), 0);
+        lib.insert(99, vec![1, 2, 3, 4]);
+        lib.insert(7, vec![9]);
+        assert!(fresh.append_spaces(&lib).unwrap() > 0);
+        assert_eq!(
+            PileStore::open(&path).unwrap().append_spaces(&lib).unwrap(),
+            0
+        );
+        let mut reader = PileStore::open(&path).unwrap();
+        assert_eq!(reader.space_record_count().unwrap(), 2);
+        let loaded = reader.load_spaces().unwrap();
+        assert_eq!(loaded.get(99), Some(&[1, 2, 3, 4][..]));
+        assert_eq!(loaded.get(7), Some(&[9][..]));
     }
 
     #[test]

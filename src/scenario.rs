@@ -76,6 +76,14 @@
 //! Replacing a defining query with one of a different target scheme mints
 //! a fresh catalog relation (the display name gains a `$n` suffix), since
 //! a relation name's type is fixed at declaration.
+//!
+//! A query is an expression *mapping*, represented by its reduced
+//! template, so everything computed per query is a function of its text
+//! against the catalog. The runner therefore parses, reduces and
+//! content-keys each distinct expression text once per run (`view`
+//! bodies, `check member` goals and `edit` bodies alike) and hands out
+//! clones that carry the filled key cells. Fleet prologues repeat a few
+//! texts across hundreds of views, so this is most of their parse cost.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -83,12 +91,16 @@ use viewcap_base::{Catalog, RelId};
 use viewcap_core::closure::capacity_members;
 use viewcap_core::{frontier_diff, ClosureContext, Query, SearchBudget, View};
 use viewcap_engine::{
-    view_fingerprint, CacheStats, Check, Decision, DeltaWorkload, Engine, EnumStats, Fingerprint,
-    Request, Verdict, Workload,
+    query_fingerprint, view_fingerprint, CacheStats, Check, Decision, DeltaWorkload, Engine,
+    EnumStats, Fingerprint, Request, Verdict, Workload,
 };
 use viewcap_expr::display::{display_expr, display_scheme};
 use viewcap_expr::parse_expr;
 use viewcap_obs::MetricsSnapshot;
+
+static QUERY_MEMO_HIT: viewcap_obs::Counter = viewcap_obs::Counter::new("scenario.query_memo.hit");
+static QUERY_MEMO_MISS: viewcap_obs::Counter =
+    viewcap_obs::Counter::new("scenario.query_memo.miss");
 
 /// Execution options for [`run_scenario_with`].
 #[derive(Clone, Debug)]
@@ -211,6 +223,9 @@ struct Runner<'a> {
     /// growing its atom bound — reuses the lazily extended candidate
     /// spaces instead of re-enumerating from scratch.
     diff_contexts: HashMap<(Fingerprint, Fingerprint), (ClosureContext, ClosureContext)>,
+    /// Every expression text parsed so far (trimmed), with its query —
+    /// reduced and content-keyed ([`Runner::query`]).
+    queries: HashMap<String, Query>,
 }
 
 /// Run a scenario from source text with default options (sequential).
@@ -250,6 +265,7 @@ pub fn run_scenario_with_engine(
         permute_seed: None,
         rel_buffer: Vec::new(),
         diff_contexts: HashMap::new(),
+        queries: HashMap::new(),
     };
     let err = |line: usize, msg: String| ScenarioError { line, msg };
 
@@ -405,6 +421,26 @@ impl Runner<'_> {
             .ok_or_else(|| format!("unknown view `{name}`"))
     }
 
+    /// The query an expression text denotes: parsed, reduced and
+    /// content-keyed on the first use of the (trimmed) text, a clone of
+    /// that query — key cells filled — on every later use. Sound because
+    /// the catalog only grows and a name never rebinds, so a text that
+    /// parsed once resolves to the same ids for the rest of the run. A
+    /// parse error aborts the scenario and is never memoized.
+    fn query(&mut self, src: &str) -> Result<Query, String> {
+        let src = src.trim();
+        if let Some(q) = self.queries.get(src) {
+            QUERY_MEMO_HIT.add(1);
+            return Ok(q.clone());
+        }
+        QUERY_MEMO_MISS.add(1);
+        let expr = parse_expr(src, &self.catalog).map_err(|e| e.to_string())?;
+        let q = Query::from_expr(expr, &self.catalog);
+        query_fingerprint(&q, &self.catalog);
+        self.queries.insert(src.to_owned(), q.clone());
+        Ok(q)
+    }
+
     fn cmd_rel(&mut self, rest: &str) -> Result<(), String> {
         // `R(A, B, C)`
         let (name, args) = rest
@@ -508,28 +544,22 @@ impl Runner<'_> {
     }
 
     fn cmd_view(&mut self, name: &str, body: &[(usize, String)]) -> Result<(), (usize, String)> {
-        let mut pairs: Vec<(viewcap_expr::Expr, RelId)> = Vec::new();
+        let mut pairs: Vec<(Query, RelId)> = Vec::new();
         let mut logical: Vec<String> = Vec::new();
         for (lineno, entry) in body {
             let (vname, src) = entry
                 .split_once('=')
                 .ok_or((*lineno, "expected `Name = expression`".to_owned()))?;
-            let expr =
-                parse_expr(src.trim(), &self.catalog).map_err(|e| (*lineno, e.to_string()))?;
-            let q = Query::from_expr(expr.clone(), &self.catalog);
+            let q = self.query(src).map_err(|m| (*lineno, m))?;
             let rel = self
                 .catalog
                 .add_relation(vname.trim(), q.trs())
                 .map_err(|e| (*lineno, e.to_string()))?;
-            pairs.push((expr, rel));
+            pairs.push((q, rel));
             logical.push(vname.trim().to_owned());
         }
-        let view = View::from_exprs(pairs, &self.catalog)
+        let view = View::new(pairs, &self.catalog)
             .map_err(|e| (body.first().map_or(0, |(l, _)| *l), e.to_string()))?;
-        // Warm the canonical-key memos now: every later check clones this
-        // view, and clones inherit the filled caches, so fingerprinting a
-        // whole workload against it costs one canonicalization per query.
-        let _ = viewcap_engine::view_fingerprint(&view, &self.catalog);
         let _ = writeln!(
             self.report,
             "view {name} defined with {} relation(s)",
@@ -542,7 +572,7 @@ impl Runner<'_> {
 
     /// Parse the tail of a `check` command into an engine [`Check`] plus
     /// its display label.
-    fn parse_check(&self, rest: &str) -> Result<(String, Check), String> {
+    fn parse_check(&mut self, rest: &str) -> Result<(String, Check), String> {
         let (kind, args) = split_word(rest);
         match kind {
             "equivalent" => {
@@ -568,13 +598,10 @@ impl Runner<'_> {
             "member" => {
                 let (vname, expr_src) = split_word(args);
                 let view = self.view(vname)?.clone();
-                let expr = parse_expr(expr_src, &self.catalog).map_err(|e| e.to_string())?;
+                let goal = self.query(expr_src)?;
                 Ok((
                     format!("check member {vname} {expr_src}"),
-                    Check::Member {
-                        view,
-                        goal: Query::from_expr(expr, &self.catalog),
-                    },
+                    Check::Member { view, goal },
                 ))
             }
             other => Err(format!("unknown check `{other}`")),
@@ -705,9 +732,7 @@ impl Runner<'_> {
                     "expected `Name = expression` or `drop Name`".to_owned(),
                 ))?;
                 let vname = vname.trim();
-                let expr =
-                    parse_expr(src.trim(), &self.catalog).map_err(|e| (*ln, e.to_string()))?;
-                let q = Query::from_expr(expr, &self.catalog);
+                let q = self.query(src).map_err(|m| (*ln, m))?;
                 match logical.iter().position(|l| l == vname) {
                     Some(pos) => {
                         // Replace, addressed by the pair's logical name.
@@ -734,8 +759,6 @@ impl Runner<'_> {
             ));
         }
         let new_view = View::new(pairs, &self.catalog).map_err(|e| (lineno, e.to_string()))?;
-        // Warm the canonical-key memos, as `cmd_view` does.
-        let _ = viewcap_engine::view_fingerprint(&new_view, &self.catalog);
         self.views.insert(
             name.to_owned(),
             NamedView {

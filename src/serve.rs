@@ -33,16 +33,20 @@
 //!
 //! With `--pile`, the daemon recovers the pile on startup (truncating any
 //! suffix a crash mid-append left, and reporting it on stderr), seeds
-//! warm caches from the pile's merged verdict set, and appends every
-//! request's verdicts after answering. Killing the daemon at any moment
-//! costs at most the in-flight append.
+//! warm caches from the pile's merged verdict set, and after answering
+//! each request appends the verdicts it learned that the pile lacks
+//! ([`PileStore::append_cache`]). A request that learned nothing writes
+//! nothing and does not `fdatasync`, so the pile grows with what the
+//! fleet learns, not with how often it asks. Killing the daemon at any
+//! moment costs at most the in-flight append.
 //!
 //! Warm keys also get a per-key candidate-space library: seeded from the
 //! pile's space records on first use, attached to every warm request's
 //! engine (contexts hydrate their enumeration levels instead of
-//! rebuilding them), and — whenever a request grew a space — appended
-//! back to the pile, so even a daemon restart skips the cold-start
-//! enumeration. `cold` requests get no shared state of any kind.
+//! rebuilding them), and — whenever a request grew a space — the grown
+//! snapshots are appended back to the pile, so even a daemon restart
+//! skips the cold-start enumeration. `cold` requests get no shared state
+//! of any kind.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -155,7 +159,7 @@ impl Daemon {
     }
 
     /// Answer one `RUN`: build the request's engine, run the scenario,
-    /// append the verdicts to the pile. Returns the exact batch-CLI
+    /// append its new verdicts to the pile. Returns the exact batch-CLI
     /// stdout, or the scenario error text.
     fn run(&self, source: &str, jobs: usize, warm_key: Option<&str>) -> Result<String, String> {
         let engine = match warm_key {
@@ -175,7 +179,7 @@ impl Daemon {
             run_scenario_with_engine(source, &options, &engine).map_err(|e| e.to_string())?;
         // Fold the request's grown candidate spaces back into the warm
         // library before persisting anything, so the pile append below
-        // carries them too.
+        // carries them too. Both appends write only what the pile lacks.
         let harvested = engine.harvest_spaces();
         if let Some(pile) = &self.pile {
             let mut pile = pile.lock().expect("pile lock");
@@ -318,8 +322,17 @@ fn handle_connection(
                     }
                 },
             };
-            let mut source = vec![0u8; len];
-            reader.read_exact(&mut source)?;
+            // `len` is the client's word: read up to it, never allocate it.
+            let mut source = Vec::new();
+            reader.by_ref().take(len as u64).read_to_end(&mut source)?;
+            if source.len() < len {
+                respond(
+                    &mut stream,
+                    false,
+                    "scenario body shorter than its header\n",
+                )?;
+                return Ok(());
+            }
             let Ok(source) = String::from_utf8(source) else {
                 respond(&mut stream, false, "scenario source is not UTF-8\n")?;
                 return Ok(());

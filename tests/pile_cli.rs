@@ -5,13 +5,16 @@
 //! must be byte-identical to `cache merge` over the same workers' cache
 //! files.
 //!
-//! Byte-identity holds even though a `--pile` process loads whatever
-//! records already exist before appending its own snapshot (so late
-//! snapshots may contain early processes' entries too): cache entries are
-//! name-addressed and deterministic, so every copy of an entry serializes
-//! to the same bytes, and merge output depends only on the *union* —
-//! sorted by key, names re-interned — not on which record carried which
-//! entry.
+//! Byte-identity holds whichever records a `--pile` process saw when it
+//! loaded (it appends only the entries the pile lacked then, so a key two
+//! processes learned concurrently may ride in both records): cache entries
+//! are name-addressed and deterministic, so every copy of an entry
+//! serializes to the same bytes, and merge output depends only on the
+//! *union* — sorted by key, names re-interned — not on which record
+//! carried which entry.
+//!
+//! Also pinned here: repeated identical `--pile` runs leave the pile
+//! exactly as the first run left it.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -152,4 +155,32 @@ fn concurrent_cli_processes_share_one_pile() {
         .unwrap();
     wait_ok(export, "pile export");
     assert_eq!(std::fs::read(&exported).unwrap(), from_merge);
+}
+
+#[test]
+fn identical_pile_runs_leave_the_pile_unchanged() {
+    let dir = scratch();
+    let pile = dir.join("repeat.vcappile");
+    let _ = std::fs::remove_file(&pile);
+    let scenario = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/batch_workload.vcap");
+    let run = || {
+        let child = Command::new(CLI)
+            .arg("--pile")
+            .arg(&pile)
+            .arg(scenario)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        wait_ok(child, "--pile run");
+        std::fs::read(&pile).unwrap()
+    };
+    let first = run();
+    assert_eq!(PileStore::open(&pile).unwrap().record_count().unwrap(), 1);
+    for i in 2..=5 {
+        assert!(
+            run() == first,
+            "run {i} learned nothing new and must not grow the pile"
+        );
+    }
 }

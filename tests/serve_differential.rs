@@ -4,13 +4,18 @@
 //! the daemon is a residency optimization, never a semantic fork.
 //!
 //! Also pinned here: warm mode preserves every verdict (only cache
-//! provenance may differ), the daemon's stats count requests, and shutdown
-//! is clean — a recovery pass over the daemon's pile drops zero bytes.
+//! provenance may differ), the daemon's stats count requests, shutdown is
+//! clean — a recovery pass over the daemon's pile drops zero bytes — and
+//! the pile grows only with what warm requests learn.
 #![cfg(unix)]
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
+use viewcap::scenario::{run_scenario_with_engine, ScenarioOptions};
+use viewcap::serve::{client_request, ClientRequest};
+use viewcap_engine::{merge_cache_bytes, save_cache, Engine, EngineConfig, PileStore};
+use viewcap_gen::{txn_stream, FleetSpec};
 
 const CLI: &str = env!("CARGO_BIN_EXE_viewcap-cli");
 
@@ -53,9 +58,11 @@ fn start_daemon(socket: &Path, pile: &Path) -> DaemonGuard {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn daemon");
+    // The socket file appears at `bind`, before `listen`: wait for an
+    // answered ping, not for the file.
     let deadline = Instant::now() + Duration::from_secs(30);
-    while !socket.exists() {
-        assert!(Instant::now() < deadline, "daemon never bound its socket");
+    while !client_request(socket, &ClientRequest::Ping).is_ok_and(|r| r.ok) {
+        assert!(Instant::now() < deadline, "daemon never answered a ping");
         std::thread::sleep(Duration::from_millis(20));
     }
     DaemonGuard(child)
@@ -187,6 +194,24 @@ fn daemon_rejects_malformed_requests_without_dying() {
         );
     }
 
+    // A body length no allocation could hold, and a body shorter than its
+    // header says: both refused once the client stops writing, neither
+    // fatal to the daemon.
+    for request in [
+        "RUN 1 cold 18446744073709551615\n",
+        "RUN 1 cold 100\nrel R(A)\n",
+    ] {
+        let mut stream = UnixStream::connect(&socket).unwrap();
+        stream.write_all(request.as_bytes()).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(
+            response.starts_with("ERR "),
+            "{request:?} must be refused, got {response:?}"
+        );
+    }
+
     // A scenario error comes back as ERR too, and the daemon survives it.
     let bad = "rel R(A, B)\ncheck member NoSuchView R\n";
     let mut stream = UnixStream::connect(&socket).unwrap();
@@ -203,4 +228,102 @@ fn daemon_rejects_malformed_requests_without_dying() {
     );
     assert_ok(&ping, "ping after malformed requests");
     assert_eq!(ping.stdout, b"pong\n");
+}
+
+/// Short fleet sessions of the shape a warm fleet sends: one shared
+/// prologue, a batch of member checks, two transactions with rechecks.
+fn fleet_sessions(n: u64) -> Vec<String> {
+    let spec = FleetSpec {
+        views: 24,
+        base_rels: 4,
+        events: 2,
+        batch_size: 4,
+        ..FleetSpec::default()
+    };
+    (0..n).map(|seed| txn_stream(seed, &spec).source).collect()
+}
+
+fn warm_run(socket: &Path, source: &str) -> String {
+    let response = client_request(
+        socket,
+        &ClientRequest::Run {
+            source: source.to_owned(),
+            jobs: 1,
+            warm_key: Some("fleet".to_owned()),
+        },
+    )
+    .expect("warm request");
+    assert!(response.ok, "warm request refused: {}", response.body);
+    response.body
+}
+
+fn shut_down(socket: &Path, mut daemon: DaemonGuard) {
+    let bye = client_request(socket, &ClientRequest::Shutdown).expect("shutdown");
+    assert!(bye.ok);
+    assert!(daemon.0.wait().expect("daemon exit").success());
+}
+
+#[test]
+fn identical_warm_requests_leave_the_pile_unchanged() {
+    let dir = scratch();
+    let socket = dir.join("repeat.sock");
+    let pile = dir.join("repeat.vcappile");
+    let _ = std::fs::remove_file(&pile);
+    let daemon = start_daemon(&socket, &pile);
+    let source = &fleet_sessions(1)[0];
+    let first_body = warm_run(&socket, source);
+    let first = std::fs::read(&pile).unwrap();
+    assert!(!first.is_empty(), "the first request learns verdicts");
+    for i in 2..=5 {
+        warm_run(&socket, source);
+        assert!(
+            std::fs::read(&pile).unwrap() == first,
+            "identical warm request {i} learned nothing and must not grow the pile"
+        );
+    }
+    shut_down(&socket, daemon);
+    assert!(first_body.contains("check member"));
+}
+
+#[test]
+fn warm_pile_across_a_restart_merges_to_the_final_warm_cache() {
+    let dir = scratch();
+    let socket = dir.join("restart.sock");
+    let pile = dir.join("restart.vcappile");
+    let _ = std::fs::remove_file(&pile);
+    let sessions = fleet_sessions(6);
+    let (before, after) = sessions.split_at(3);
+    for half in [before, after] {
+        let daemon = start_daemon(&socket, &pile);
+        for source in half {
+            warm_run(&socket, source);
+        }
+        shut_down(&socket, daemon);
+    }
+
+    // The same requests against one warm cache that never restarted. The
+    // sessions share their `rel` prologue, so every witness — which names
+    // only base relations, attributes and positional λs — resolves through
+    // the last session's catalog.
+    let engine = Engine::new();
+    let mut catalog = None;
+    for source in &sessions {
+        let warm =
+            Engine::from_config(EngineConfig::new().shared_cache(engine.shared_cache())).unwrap();
+        let outcome =
+            run_scenario_with_engine(source, &ScenarioOptions { jobs: 1 }, &warm).unwrap();
+        catalog = Some(outcome.catalog);
+    }
+    let final_cache = save_cache(engine.cache(), &catalog.unwrap());
+    let (expected, _) = merge_cache_bytes(&[final_cache]).unwrap();
+    let (from_pile, report) = PileStore::open(&pile).unwrap().merged_bytes().unwrap();
+    assert!(report.entries_out > 0, "the sessions learn verdicts");
+    assert_eq!(
+        report.replaced, 0,
+        "every verdict is appended once: {report}"
+    );
+    assert!(
+        from_pile == expected,
+        "pile export differs from the final warm cache ({report})"
+    );
 }

@@ -9,8 +9,9 @@
 //! runs inside one `#[test]` (its own binary; nothing else in the
 //! process flips the enabled flag).
 
-use viewcap::scenario::{run_scenario_with, ScenarioOptions};
-use viewcap_gen::{frontier_diff_stream, FleetSpec};
+use viewcap::scenario::{run_scenario_with, run_scenario_with_engine, ScenarioOptions};
+use viewcap_engine::{EngineConfig, Session};
+use viewcap_gen::{fleet_stream, frontier_diff_stream, FleetSpec};
 
 /// Serializes the tests in this binary on the process-global registry.
 static REGISTRY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -77,13 +78,67 @@ fn frontier_diff_counters_identical_across_jobs() {
         "span.core.frontier.members",
         "core.frontier.memo_hits",
     ] {
-        let value = sequential
-            .lines()
-            .find_map(|line| line.strip_prefix(counter)?.strip_prefix(' '))
-            .and_then(|v| v.parse::<u64>().ok());
         assert!(
-            value.is_some_and(|v| v > 0),
+            counter_value(&sequential, counter).is_some_and(|v| v > 0),
             "diff: expected a nonzero {counter}, got:\n{sequential}"
+        );
+    }
+}
+
+/// The value of `counter` in a `counters_text` dump, if present.
+fn counter_value(text: &str, counter: &str) -> Option<u64> {
+    text.lines()
+        .find_map(|line| line.strip_prefix(counter)?.strip_prefix(' '))
+        .and_then(|v| v.parse().ok())
+}
+
+#[test]
+fn query_memo_and_pile_append_counters_identical_across_jobs() {
+    // A generated fleet stream run twice against one pile: the first run
+    // appends its verdicts, the identical second run learns nothing and
+    // appends nothing; the fleet's repeated expression texts hit the
+    // query memo throughout.
+    let spec = FleetSpec {
+        views: 24,
+        base_rels: 4,
+        events: 40,
+        batch_size: 4,
+        ..FleetSpec::default()
+    };
+    let src = fleet_stream(5, &spec).source;
+    let dir = std::env::temp_dir().join(format!("viewcap-telemetry-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let counters_with_pile = |jobs: usize| {
+        let pile = dir.join(format!("jobs{jobs}.vcappile"));
+        let _ = std::fs::remove_file(&pile);
+        viewcap_obs::reset();
+        for _ in 0..2 {
+            let mut session = Session::open(EngineConfig::new().pile(&pile).jobs(jobs)).unwrap();
+            let outcome =
+                run_scenario_with_engine(&src, &ScenarioOptions { jobs }, session.engine())
+                    .expect("scenario runs");
+            session.persist(&outcome.catalog).unwrap();
+        }
+        viewcap_obs::snapshot().counters_text()
+    };
+    let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    viewcap_obs::set_enabled(true);
+    let sequential = counters_with_pile(1);
+    let parallel = counters_with_pile(4);
+    viewcap_obs::set_enabled(false);
+    assert_eq!(
+        sequential, parallel,
+        "fleet: counter metrics must not depend on --jobs"
+    );
+    for counter in [
+        "scenario.query_memo.hit",
+        "scenario.query_memo.miss",
+        "pile.append.records",
+        "pile.append.skipped",
+    ] {
+        assert!(
+            counter_value(&sequential, counter).is_some_and(|v| v > 0),
+            "fleet: expected a nonzero {counter}, got:\n{sequential}"
         );
     }
 }
