@@ -92,11 +92,16 @@ impl fmt::Debug for Symbol {
 /// projection). `SymbolGen` hands out strictly increasing ordinals per
 /// attribute, starting above everything it has been told about via
 /// [`SymbolGen::reserve`].
+///
+/// Templates mention a handful of attributes, so the counters live in a
+/// small vector sorted by attribute (binary-searched) rather than a hash
+/// map: building a generator for a template allocates once.
 #[derive(Clone, Debug, Default)]
 pub struct SymbolGen {
-    /// `next[a]` = smallest ordinal not yet handed out for attribute `a`.
-    /// Sparse: attributes not present start at 1.
-    next: std::collections::HashMap<AttrId, u32>,
+    /// `(a, next)`, sorted by `a`: `next` is the smallest ordinal not yet
+    /// handed out for attribute `a`. Sparse: attributes not present start
+    /// at 1.
+    next: Vec<(AttrId, u32)>,
 }
 
 impl SymbolGen {
@@ -105,9 +110,21 @@ impl SymbolGen {
         Self::default()
     }
 
+    /// The counter for `attr`, inserted at 1 when absent.
+    fn slot(&mut self, attr: AttrId) -> &mut u32 {
+        let pos = match self.next.binary_search_by_key(&attr, |&(a, _)| a) {
+            Ok(pos) => pos,
+            Err(pos) => {
+                self.next.insert(pos, (attr, 1));
+                pos
+            }
+        };
+        &mut self.next[pos].1
+    }
+
     /// Ensure future symbols for `sym.attr()` are strictly above `sym`.
     pub fn reserve(&mut self, sym: Symbol) {
-        let slot = self.next.entry(sym.attr()).or_insert(1);
+        let slot = self.slot(sym.attr());
         if *slot <= sym.ord() {
             *slot = sym.ord() + 1;
         }
@@ -122,7 +139,7 @@ impl SymbolGen {
 
     /// Allocate a fresh nondistinguished symbol of `Dom(attr)`.
     pub fn fresh(&mut self, attr: AttrId) -> Symbol {
-        let slot = self.next.entry(attr).or_insert(1);
+        let slot = self.slot(attr);
         let ord = *slot;
         *slot += 1;
         Symbol::nondistinguished(attr, ord)
@@ -182,6 +199,59 @@ mod tests {
         assert_eq!(s2, Symbol::nondistinguished(A, 7));
         // Unseen attribute starts at 1 (never hands out the distinguished 0).
         assert_eq!(g.fresh(B), Symbol::nondistinguished(B, 1));
+    }
+
+    /// The hash-map generator this one replaced, kept as the oracle: same
+    /// ordinals for any sequence of `reserve` and `fresh` calls.
+    #[derive(Default)]
+    struct MapGen {
+        next: std::collections::HashMap<AttrId, u32>,
+    }
+
+    impl MapGen {
+        fn reserve(&mut self, sym: Symbol) {
+            let slot = self.next.entry(sym.attr()).or_insert(1);
+            if *slot <= sym.ord() {
+                *slot = sym.ord() + 1;
+            }
+        }
+
+        fn fresh(&mut self, attr: AttrId) -> Symbol {
+            let slot = self.next.entry(attr).or_insert(1);
+            let ord = *slot;
+            *slot += 1;
+            Symbol::nondistinguished(attr, ord)
+        }
+    }
+
+    #[test]
+    fn gen_matches_the_hash_map_oracle_on_random_call_sequences() {
+        // splitmix64: a seeded stream with no dependency.
+        let mut state = 0x5EED_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..200 {
+            let mut gen = SymbolGen::new();
+            let mut oracle = MapGen::default();
+            for _ in 0..(next() % 40) {
+                let attr = AttrId((next() % 12) as u32);
+                if next() % 2 == 0 {
+                    let sym = Symbol::new(attr, (next() % 20) as u32);
+                    gen.reserve(sym);
+                    oracle.reserve(sym);
+                } else {
+                    assert_eq!(gen.fresh(attr), oracle.fresh(attr));
+                }
+            }
+            for a in 0..12 {
+                assert_eq!(gen.fresh(AttrId(a)), oracle.fresh(AttrId(a)));
+            }
+        }
     }
 
     #[test]

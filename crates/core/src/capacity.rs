@@ -7,9 +7,12 @@
 //! some template substitution `T → β` with an m.r.e. template `T` and
 //! `β(RN(T)) ⊆ 𝒯` realizes `Q` (a *construction*).
 //!
-//! **Theorem 2.4.11** makes membership decidable. Our procedure (justified
-//! in DESIGN.md §5.3 by the syntactic subtemplate lemma, replacing the
-//! paper's `J_k` enumeration):
+//! **Theorem 2.4.11** makes membership decidable. Our procedure replaces
+//! the paper's `J_k` enumeration. It is justified by the *syntactic
+//! subtemplate lemma*: whenever `Q` is realizable at all, it is realizable
+//! by a normalized expression whose atom count is at most `#(reduce(Q))`
+//! (`tests/decidability.rs` cross-checks the answers against the literal
+//! paper procedure, [`crate::paper_procedure`]):
 //!
 //! 1. mint a scratch relation name `λᵢ` of type `TRS(Tᵢ)` per query in `𝒯`;
 //! 2. enumerate normalized expressions over the `λᵢ` with at most

@@ -14,6 +14,14 @@
 //! budget the key degrades to a sound-but-incomplete invariant and
 //! [`is_isomorphic`] falls back to backtracking search, so correctness never
 //! depends on the budget.
+//!
+//! **Costs.** A key sorts the template's symbol occurrences once, which
+//! yields both the occurrence counts and dense symbol indices, so no hash
+//! map is built. It then builds one invariant vector per tuple and encodes
+//! each explored ordering into reused buffers, renaming symbols through
+//! arrays indexed by those dense indices. For the 1–3-tuple templates of a
+//! candidate-space level build, that is a handful of small allocations per
+//! key.
 
 use crate::template::Template;
 use std::collections::HashMap;
@@ -72,71 +80,124 @@ pub struct KeyLabels<'a> {
     pub attr_rank: &'a dyn Fn(AttrId) -> u64,
 }
 
-/// The canonical row-slot traversal of every tuple under `labels` —
-/// permutation-invariant, so it is computed once per canonicalization and
-/// shared by the (up to [`PERM_BUDGET`]) encodings the minimization runs.
-fn slot_orders(t: &Template, labels: &KeyLabels<'_>) -> Vec<Vec<usize>> {
-    t.tuples()
-        .iter()
-        .map(|tup| {
+/// One canonicalization's view of a template, computed once and shared by
+/// the (up to [`PERM_BUDGET`]) encodings the minimization runs: each
+/// tuple's label and its symbols in canonical slot order, as dense indices
+/// into the template's distinct symbols.
+struct Prepared {
+    /// Per tuple, its relation label.
+    labels: Vec<u128>,
+    /// Per tuple, its cells' symbol indices in canonical slot order:
+    /// tuple `i` owns `cells[starts[i]..starts[i + 1]]`.
+    cells: Vec<u32>,
+    starts: Vec<usize>,
+    /// The distinct symbols, sorted (so one attribute's symbols are
+    /// contiguous), with their occurrence counts across the template.
+    syms: Vec<(Symbol, u64)>,
+    /// Per distinct symbol, the dense index of its attribute.
+    attr_of: Vec<u32>,
+    /// Number of distinct attributes.
+    n_attrs: usize,
+}
+
+impl Prepared {
+    fn new(t: &Template, labels: &KeyLabels<'_>) -> Prepared {
+        // Occurrence counts: sort every occurrence, then run-length encode.
+        let mut all: Vec<Symbol> = t.symbols().collect();
+        all.sort_unstable();
+        let n_cells = all.len();
+        let mut syms: Vec<(Symbol, u64)> = Vec::with_capacity(all.len());
+        let mut attr_of: Vec<u32> = Vec::with_capacity(all.len());
+        let mut n_attrs = 0usize;
+        for s in all {
+            match syms.last_mut() {
+                Some((last, count)) if *last == s => *count += 1,
+                last => {
+                    if last.is_none_or(|(l, _)| l.attr() != s.attr()) {
+                        n_attrs += 1;
+                    }
+                    syms.push((s, 1));
+                    attr_of.push(n_attrs as u32 - 1);
+                }
+            }
+        }
+        let mut tuple_labels = Vec::with_capacity(t.len());
+        let mut cells = Vec::with_capacity(n_cells);
+        let mut starts = Vec::with_capacity(t.len() + 1);
+        let mut slots: Vec<usize> = Vec::new();
+        for tup in t.tuples() {
+            tuple_labels.push((labels.rel_label)(tup.rel()));
+            starts.push(cells.len());
             let row = tup.row();
-            let mut slots: Vec<usize> = (0..row.len()).collect();
+            slots.clear();
+            slots.extend(0..row.len());
             slots.sort_unstable_by_key(|&j| ((labels.attr_rank)(row[j].attr()), row[j].attr().0));
-            slots
-        })
-        .collect()
-}
-
-/// Per-tuple invariant used to pre-group tuples before permutation.
-///
-/// Isomorphisms preserve each field, so only within-group reorderings can
-/// witness an isomorphism.
-fn tuple_invariant(
-    t: &Template,
-    idx: usize,
-    labels: &KeyLabels<'_>,
-    slots: &[Vec<usize>],
-    occurs: &HashMap<Symbol, u64>,
-) -> Vec<u64> {
-    let tup = &t.tuples()[idx];
-    let label = (labels.rel_label)(tup.rel());
-    let mut inv = vec![(label >> 64) as u64, label as u64];
-    for &j in &slots[idx] {
-        let s = &tup.row()[j];
-        inv.push(if s.is_distinguished() { 1 } else { 0 });
-        inv.push(occurs[s]);
+            cells.extend(slots.iter().map(|&j| {
+                syms.binary_search_by_key(&row[j], |&(s, _)| s)
+                    .expect("every symbol is counted") as u32
+            }));
+        }
+        starts.push(cells.len());
+        Prepared {
+            labels: tuple_labels,
+            cells,
+            starts,
+            syms,
+            attr_of,
+            n_attrs,
+        }
     }
-    inv
-}
 
-/// Encode the template under a fixed tuple ordering, renaming
-/// nondistinguished symbols by first occurrence (per attribute), visiting
-/// each row in the canonical slot order.
-fn encode(t: &Template, order: &[usize], labels: &KeyLabels<'_>, slots: &[Vec<usize>]) -> Vec<u64> {
-    let mut rename: HashMap<Symbol, u64> = HashMap::new();
-    let mut next: HashMap<u32, u64> = HashMap::new(); // per-attribute counter
-    let mut out = Vec::with_capacity(order.len() * 8);
-    for &i in order {
-        let tup = &t.tuples()[i];
-        out.push(u64::MAX); // tuple separator
-        let label = (labels.rel_label)(tup.rel());
-        out.push((label >> 64) as u64);
-        out.push(label as u64);
-        for &j in &slots[i] {
-            let s = &tup.row()[j];
-            if s.is_distinguished() {
-                out.push(0);
-            } else {
-                let code = *rename.entry(*s).or_insert_with(|| {
-                    let c = next.entry(s.attr().0).or_insert(0);
-                    *c += 1;
-                    *c
-                });
-                out.push(code);
+    fn row(&self, i: usize) -> &[u32] {
+        &self.cells[self.starts[i]..self.starts[i + 1]]
+    }
+
+    /// Per-tuple invariant used to pre-group tuples before permutation:
+    /// the label, then per slot whether the symbol is distinguished and
+    /// how often it occurs. Isomorphisms preserve each field, so only
+    /// within-group reorderings can witness an isomorphism.
+    fn invariant(&self, i: usize) -> Vec<u64> {
+        let label = self.labels[i];
+        let row = self.row(i);
+        let mut inv = Vec::with_capacity(2 + 2 * row.len());
+        inv.push((label >> 64) as u64);
+        inv.push(label as u64);
+        for &c in row {
+            let (s, count) = self.syms[c as usize];
+            inv.push(if s.is_distinguished() { 1 } else { 0 });
+            inv.push(count);
+        }
+        inv
+    }
+
+    /// Encode the template under a fixed tuple ordering into `out`,
+    /// renaming nondistinguished symbols by first occurrence (per
+    /// attribute). `rename` and `next` are scratch, sized to the distinct
+    /// symbols and attributes.
+    fn encode(&self, order: &[usize], out: &mut Vec<u64>, rename: &mut [u64], next: &mut [u64]) {
+        out.clear();
+        rename.fill(0);
+        next.fill(0);
+        for &i in order {
+            out.push(u64::MAX); // tuple separator
+            let label = self.labels[i];
+            out.push((label >> 64) as u64);
+            out.push(label as u64);
+            for &c in self.row(i) {
+                let c = c as usize;
+                if self.syms[c].0.is_distinguished() {
+                    out.push(0);
+                } else {
+                    if rename[c] == 0 {
+                        let counter = &mut next[self.attr_of[c] as usize];
+                        *counter += 1;
+                        rename[c] = *counter;
+                    }
+                    out.push(rename[c]);
+                }
             }
         }
     }
-    out
 }
 
 /// Compute the canonical key with the default (within-catalog) labels.
@@ -160,17 +221,9 @@ pub fn canonical_key(t: &Template) -> CanonKey {
 /// keys under content labels may therefore differ across catalogs, which
 /// only costs downstream cache hits, never correctness.
 pub fn canonical_key_with(t: &Template, labels: &KeyLabels<'_>) -> CanonKey {
-    let n = t.len();
-    // Occurrence count of each symbol across the whole template.
-    let mut occurs: HashMap<Symbol, u64> = HashMap::new();
-    for s in t.symbols() {
-        *occurs.entry(s).or_insert(0) += 1;
-    }
-    let slots = slot_orders(t, labels);
+    let prep = Prepared::new(t, labels);
     // Group indices by invariant.
-    let mut keyed: Vec<(Vec<u64>, usize)> = (0..n)
-        .map(|i| (tuple_invariant(t, i, labels, &slots, &occurs), i))
-        .collect();
+    let mut keyed: Vec<(Vec<u64>, usize)> = (0..t.len()).map(|i| (prep.invariant(i), i)).collect();
     keyed.sort();
     let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut group_invs: Vec<Vec<u64>> = Vec::new();
@@ -192,10 +245,13 @@ pub fn canonical_key_with(t: &Template, labels: &KeyLabels<'_>) -> CanonKey {
         }
     }
 
+    let mut rename = vec![0u64; prep.syms.len()];
+    let mut next = vec![0u64; prep.n_attrs];
+    let mut words = Vec::with_capacity(prep.cells.len() + 3 * t.len() + 1);
     if budget > PERM_BUDGET {
         // Inexact fallback: encode with the invariant-sorted order.
         let order: Vec<usize> = groups.iter().flatten().copied().collect();
-        let mut words = encode(t, &order, labels, &slots);
+        prep.encode(&order, &mut words, &mut rename, &mut next);
         words.push(u64::MAX - 1); // marker: inexact keys never equal exact ones
         return CanonKey {
             words,
@@ -206,9 +262,11 @@ pub fn canonical_key_with(t: &Template, labels: &KeyLabels<'_>) -> CanonKey {
     // Minimize over within-group permutations.
     let mut best: Option<Vec<u64>> = None;
     permute_groups(&groups, &mut |full_order| {
-        let enc = encode(t, full_order, labels, &slots);
-        if best.as_ref().is_none_or(|b| enc < *b) {
-            best = Some(enc);
+        prep.encode(full_order, &mut words, &mut rename, &mut next);
+        match &mut best {
+            Some(b) if *b <= words => {}
+            Some(b) => std::mem::swap(b, &mut words),
+            None => best = Some(std::mem::take(&mut words)),
         }
         ControlFlow::Continue(())
     });
@@ -405,6 +463,215 @@ mod tests {
             .unwrap(),
         ])
         .unwrap()
+    }
+
+    /// The hash-map canonicalization the production key replaced, kept
+    /// verbatim as the oracle: the production key must produce the same
+    /// words and the same exactness.
+    mod oracle {
+        use super::super::*;
+        use std::collections::HashMap;
+
+        fn slot_orders(t: &Template, labels: &KeyLabels<'_>) -> Vec<Vec<usize>> {
+            t.tuples()
+                .iter()
+                .map(|tup| {
+                    let row = tup.row();
+                    let mut slots: Vec<usize> = (0..row.len()).collect();
+                    slots.sort_unstable_by_key(|&j| {
+                        ((labels.attr_rank)(row[j].attr()), row[j].attr().0)
+                    });
+                    slots
+                })
+                .collect()
+        }
+
+        fn tuple_invariant(
+            t: &Template,
+            idx: usize,
+            labels: &KeyLabels<'_>,
+            slots: &[Vec<usize>],
+            occurs: &HashMap<Symbol, u64>,
+        ) -> Vec<u64> {
+            let tup = &t.tuples()[idx];
+            let label = (labels.rel_label)(tup.rel());
+            let mut inv = vec![(label >> 64) as u64, label as u64];
+            for &j in &slots[idx] {
+                let s = &tup.row()[j];
+                inv.push(if s.is_distinguished() { 1 } else { 0 });
+                inv.push(occurs[s]);
+            }
+            inv
+        }
+
+        fn encode(
+            t: &Template,
+            order: &[usize],
+            labels: &KeyLabels<'_>,
+            slots: &[Vec<usize>],
+        ) -> Vec<u64> {
+            let mut rename: HashMap<Symbol, u64> = HashMap::new();
+            let mut next: HashMap<u32, u64> = HashMap::new();
+            let mut out = Vec::with_capacity(order.len() * 8);
+            for &i in order {
+                let tup = &t.tuples()[i];
+                out.push(u64::MAX);
+                let label = (labels.rel_label)(tup.rel());
+                out.push((label >> 64) as u64);
+                out.push(label as u64);
+                for &j in &slots[i] {
+                    let s = &tup.row()[j];
+                    if s.is_distinguished() {
+                        out.push(0);
+                    } else {
+                        let code = *rename.entry(*s).or_insert_with(|| {
+                            let c = next.entry(s.attr().0).or_insert(0);
+                            *c += 1;
+                            *c
+                        });
+                        out.push(code);
+                    }
+                }
+            }
+            out
+        }
+
+        pub(super) fn canonical_key_with(t: &Template, labels: &KeyLabels<'_>) -> CanonKey {
+            let n = t.len();
+            let mut occurs: HashMap<Symbol, u64> = HashMap::new();
+            for s in t.symbols() {
+                *occurs.entry(s).or_insert(0) += 1;
+            }
+            let slots = slot_orders(t, labels);
+            let mut keyed: Vec<(Vec<u64>, usize)> = (0..n)
+                .map(|i| (tuple_invariant(t, i, labels, &slots, &occurs), i))
+                .collect();
+            keyed.sort();
+            let mut groups: Vec<Vec<usize>> = Vec::new();
+            let mut group_invs: Vec<Vec<u64>> = Vec::new();
+            for (inv, i) in keyed {
+                if group_invs.last() == Some(&inv) {
+                    groups.last_mut().expect("nonempty").push(i);
+                } else {
+                    group_invs.push(inv);
+                    groups.push(vec![i]);
+                }
+            }
+            let mut budget: usize = 1;
+            for g in &groups {
+                budget = budget.saturating_mul(factorial(g.len()));
+                if budget > PERM_BUDGET {
+                    break;
+                }
+            }
+            if budget > PERM_BUDGET {
+                let order: Vec<usize> = groups.iter().flatten().copied().collect();
+                let mut words = encode(t, &order, labels, &slots);
+                words.push(u64::MAX - 1);
+                return CanonKey {
+                    words,
+                    exact: false,
+                };
+            }
+            let mut best: Option<Vec<u64>> = None;
+            permute_groups(&groups, &mut |full_order| {
+                let enc = encode(t, full_order, labels, &slots);
+                if best.as_ref().is_none_or(|b| enc < *b) {
+                    best = Some(enc);
+                }
+                ControlFlow::Continue(())
+            });
+            CanonKey {
+                words: best.expect("at least one ordering"),
+                exact: true,
+            }
+        }
+    }
+
+    /// Deterministic splitmix64 stream for the seeded oracle suite.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn keys_match_the_hash_map_oracle_on_random_templates() {
+        // Attributes interned out of name order, so content labels (name
+        // ranks) order row slots differently from the default labels.
+        let mut cat = Catalog::new();
+        let r = cat.relation("R", &["C", "A", "B"]).unwrap();
+        let s = cat.relation("S", &["B", "D"]).unwrap();
+        let u = cat.relation("U", &["A"]).unwrap();
+        let digests: Vec<u128> = cat
+            .relations()
+            .map(|r| cat.rel_digest(r).as_u128())
+            .collect();
+        let ranks = cat.attr_name_ranks();
+        let content = KeyLabels {
+            rel_label: &|r| digests[r.index()],
+            attr_rank: &|a| ranks[a.index()] as u64,
+        };
+        let default = KeyLabels {
+            rel_label: &|r| r.0 as u128,
+            attr_rank: &|a| a.0 as u64,
+        };
+        let mut state = 0xCA_FE_u64;
+        let row = |rel: RelId, state: &mut u64| -> TaggedTuple {
+            let syms: Vec<Symbol> = cat
+                .scheme_of(rel)
+                .iter()
+                .map(|a| Symbol::new(a, (splitmix(state) % 4) as u32))
+                .collect();
+            TaggedTuple::new(rel, syms, &cat).unwrap()
+        };
+        let (mut exact, mut inexact) = (0, 0);
+        for round in 0..400 {
+            let mut tuples = Vec::new();
+            for _ in 0..1 + splitmix(&mut state) % 6 {
+                let rel = [r, s, u][(splitmix(&mut state) % 3) as usize];
+                tuples.push(row(rel, &mut state));
+            }
+            if round % 4 == 0 {
+                // Nine or more interchangeable rows exceed the permutation
+                // budget: the key goes inexact.
+                let [a, b, c] = ["A", "B", "C"].map(|n| cat.lookup_attr(n).unwrap());
+                for i in 0..9 + splitmix(&mut state) as u32 % 3 {
+                    tuples.push(
+                        TaggedTuple::new(
+                            r,
+                            vec![
+                                Symbol::new(c, 100 + i),
+                                Symbol::distinguished(a),
+                                Symbol::new(b, 200 + i),
+                            ],
+                            &cat,
+                        )
+                        .unwrap(),
+                    );
+                }
+            }
+            let Ok(t) = Template::new(tuples) else {
+                continue;
+            };
+            for labels in [&default, &content] {
+                let key = canonical_key_with(&t, labels);
+                let want = oracle::canonical_key_with(&t, labels);
+                assert_eq!(key.words(), want.words(), "round {round}: {t:?}");
+                assert_eq!(key.is_exact(), want.is_exact(), "round {round}");
+                if key.is_exact() {
+                    exact += 1;
+                } else {
+                    inexact += 1;
+                }
+            }
+        }
+        assert!(
+            exact > 100 && inexact > 50,
+            "{exact} exact, {inexact} inexact"
+        );
     }
 
     #[test]

@@ -17,6 +17,16 @@
 //! Section 3 consumes. Valuations and consistent tuple maps are in
 //! bijection, so enumerating tuple maps enumerates valuations without
 //! duplicates.
+//!
+//! **Costs.** A search against a target of fewer than 8 tuples
+//! (`DYNAMIC_PRUNE_MIN`) scans the target flat and builds no index: no tag
+//! bucket of such a target reaches the leapfrog threshold and no candidate
+//! list reaches the pruning threshold, so an index could only filter by
+//! tag. Reduction's removal trials and level-build dedup search such
+//! targets almost exclusively. Larger targets build their byte-trie
+//! [`TupleIndex`] once (cached on the template, shared by clones) and use
+//! it for both the candidate lists and the per-depth pruning. Either way
+//! the candidate lists, and so the search order, are the same.
 
 use crate::index::TupleIndex;
 use crate::template::{TaggedTuple, Template};
@@ -70,17 +80,20 @@ impl Homomorphism {
 /// every distinguished source entry meets the same distinguished entry in
 /// the target (valuations fix distinguished symbols).
 ///
-/// Candidates come from the target's byte-trie [`TupleIndex`]
-/// ([`Template::tuple_index`], built once and shared by clones): each
-/// source tuple narrows the postings of its relation tag by its ground
-/// (distinguished) positions — a multiway sorted intersection on large tag
-/// buckets, a direct row check over the (already tag-pruned) bucket on
-/// small ones, where intersection seeks cost more than they save. Postings
-/// are in tuple order and both paths preserve it, so the lists — and
-/// therefore the backtracking search — are identical to the flat reference
-/// scan's.
+/// Targets of [`DYNAMIC_PRUNE_MIN`] tuples or more are searched through
+/// their byte-trie [`TupleIndex`] ([`Template::tuple_index`], built once
+/// and shared by clones): each source tuple narrows the postings of its
+/// relation tag by its ground (distinguished) positions — a multiway
+/// sorted intersection on large tag buckets, a direct row check over the
+/// (already tag-pruned) bucket on small ones, where intersection seeks
+/// cost more than they save. Smaller targets are scanned flat, every
+/// target tuple against every source tuple: each tag bucket of such a
+/// target is below [`LEAPFROG_MIN_BUCKET`], so the index could only serve
+/// the tag filter. Postings are in tuple order and every path preserves
+/// it, so the lists — and therefore the backtracking search — are
+/// identical to the flat scan's.
 pub fn candidate_lists(src: &Template, dst: &Template) -> Option<Vec<Vec<usize>>> {
-    candidate_lists_indexed(src, dst, dst.tuple_index())
+    candidate_lists_in(src, dst, target_index(dst))
 }
 
 /// Below this tag-bucket size, filtering the bucket against the target
@@ -90,16 +103,27 @@ const LEAPFROG_MIN_BUCKET: usize = 16;
 /// Below this candidate-list length the backtracking search keeps the
 /// static list rather than re-intersecting postings per depth — pruning a
 /// handful of candidates costs more than letting the bind step reject
-/// them.
+/// them. Targets with fewer tuples than this can never use their index
+/// (no list reaches it, and every tag bucket is below
+/// [`LEAPFROG_MIN_BUCKET`]), so they are never indexed.
 const DYNAMIC_PRUNE_MIN: usize = 8;
 
-/// [`candidate_lists`] against a prebuilt index (what [`HomSearch`] uses,
+/// The index a search against `dst` uses: none below [`DYNAMIC_PRUNE_MIN`]
+/// tuples, the cached trie otherwise.
+fn target_index(dst: &Template) -> Option<&TupleIndex> {
+    (dst.len() >= DYNAMIC_PRUNE_MIN).then(|| dst.tuple_index())
+}
+
+/// [`candidate_lists`] through a given index, or by the flat
+/// O(|src| · |dst|) scan when `index` is `None` — what [`HomSearch`] uses,
 /// so one cached build serves both the static lists and the dynamic
-/// pruning).
-fn candidate_lists_indexed(
+/// pruning. Both paths count alike in `template.join.calls` and
+/// `template.join.candidates`; the flat scan is also the reference the
+/// differential tests compare the indexed lists with.
+fn candidate_lists_in(
     src: &Template,
     dst: &Template,
-    index: &TupleIndex,
+    index: Option<&TupleIndex>,
 ) -> Option<Vec<Vec<usize>>> {
     let mut out = Vec::with_capacity(src.len());
     let mut required: Vec<(usize, Symbol)> = Vec::new();
@@ -108,25 +132,38 @@ fn candidate_lists_indexed(
     JOIN_CALLS.add(1);
     for st in src.tuples() {
         buf.clear();
-        let bucket = index.by_tag(st.rel());
-        if bucket.len() < LEAPFROG_MIN_BUCKET {
-            'target: for &j in bucket {
-                let dt = &dst.tuples()[j as usize];
-                for (a, b) in st.row().iter().zip(dt.row()) {
-                    if a.is_distinguished() && a != b {
-                        continue 'target;
+        let matches = |dt: &TaggedTuple| {
+            st.row()
+                .iter()
+                .zip(dt.row())
+                .all(|(a, b)| !a.is_distinguished() || a == b)
+        };
+        match index {
+            None => {
+                for (j, dt) in dst.tuples().iter().enumerate() {
+                    if dt.rel() == st.rel() && matches(dt) {
+                        buf.push(j as u32);
                     }
                 }
-                buf.push(j);
             }
-        } else {
-            required.clear();
-            for (p, a) in st.row().iter().enumerate() {
-                if a.is_distinguished() {
-                    required.push((p, *a));
+            Some(index) => {
+                let bucket = index.by_tag(st.rel());
+                if bucket.len() < LEAPFROG_MIN_BUCKET {
+                    buf.extend(
+                        bucket
+                            .iter()
+                            .filter(|&&j| matches(&dst.tuples()[j as usize])),
+                    );
+                } else {
+                    required.clear();
+                    for (p, a) in st.row().iter().enumerate() {
+                        if a.is_distinguished() {
+                            required.push((p, *a));
+                        }
+                    }
+                    index.candidates(st.rel(), &required, &mut buf);
                 }
             }
-            index.candidates(st.rel(), &required, &mut buf);
         }
         if buf.is_empty() {
             JOIN_CANDIDATES.add(surfaced);
@@ -139,34 +176,6 @@ fn candidate_lists_indexed(
     Some(out)
 }
 
-/// The flat O(|src| · |dst|) reference scan — the semantic oracle the
-/// differential tests compare the trie-indexed join against. Not part of
-/// the public API: decision procedures reach candidates through
-/// [`find_homomorphism`] / [`template_contains`], which drive the index.
-#[cfg(test)]
-pub(crate) fn candidate_lists_flat(src: &Template, dst: &Template) -> Option<Vec<Vec<usize>>> {
-    let mut out = Vec::with_capacity(src.len());
-    for st in src.tuples() {
-        let mut cands = Vec::new();
-        'target: for (j, dt) in dst.tuples().iter().enumerate() {
-            if dt.rel() != st.rel() {
-                continue;
-            }
-            for (a, b) in st.row().iter().zip(dt.row()) {
-                if a.is_distinguished() && a != b {
-                    continue 'target;
-                }
-            }
-            cands.push(j);
-        }
-        if cands.is_empty() {
-            return None;
-        }
-        out.push(cands);
-    }
-    Some(out)
-}
-
 /// Backtracking engine shared by existence and enumeration queries.
 struct HomSearch<'a> {
     src: &'a Template,
@@ -176,8 +185,8 @@ struct HomSearch<'a> {
     cands: Vec<Vec<usize>>,
     /// Byte-trie index over the target (the target's cached index), shared
     /// by the static candidate lists and the per-depth bound-attribute
-    /// pruning.
-    index: &'a TupleIndex,
+    /// pruning; `None` for targets too small to use one.
+    index: Option<&'a TupleIndex>,
     binding: Valuation,
     trail: Vec<Symbol>,
     assignment: Vec<usize>,
@@ -188,9 +197,8 @@ struct HomSearch<'a> {
 }
 
 impl<'a> HomSearch<'a> {
-    fn new(src: &'a Template, dst: &'a Template) -> Option<Self> {
-        let index = dst.tuple_index();
-        let cands = candidate_lists_indexed(src, dst, index)?;
+    fn new(src: &'a Template, dst: &'a Template, index: Option<&'a TupleIndex>) -> Option<Self> {
+        let cands = candidate_lists_in(src, dst, index)?;
         let mut order: Vec<usize> = (0..src.len()).collect();
         order.sort_by_key(|&i| cands[i].len());
         Some(HomSearch {
@@ -252,9 +260,12 @@ impl<'a> HomSearch<'a> {
     /// survivors in the same order as the unpruned search — same first
     /// homomorphism, same enumeration order.
     fn pruned_candidates(&mut self, i: usize) -> Vec<usize> {
-        if self.cands[i].len() < DYNAMIC_PRUNE_MIN || self.binding.is_empty() {
-            return self.cands[i].clone();
-        }
+        let index = match self.index {
+            Some(index) if self.cands[i].len() >= DYNAMIC_PRUNE_MIN && !self.binding.is_empty() => {
+                index
+            }
+            _ => return self.cands[i].clone(),
+        };
         let st = &self.src.tuples()[i];
         self.req_buf.clear();
         for (p, a) in st.row().iter().enumerate() {
@@ -273,8 +284,7 @@ impl<'a> HomSearch<'a> {
             }
         }
         self.cand_buf.clear();
-        self.index
-            .candidates(st.rel(), &self.req_buf, &mut self.cand_buf);
+        index.candidates(st.rel(), &self.req_buf, &mut self.cand_buf);
         self.cand_buf.iter().map(|&j| j as usize).collect()
     }
 
@@ -324,7 +334,20 @@ pub fn for_each_homomorphism<F>(src: &Template, dst: &Template, f: &mut F) -> Co
 where
     F: FnMut(&Homomorphism) -> ControlFlow<()>,
 {
-    match HomSearch::new(src, dst) {
+    search_with(src, dst, target_index(dst), f)
+}
+
+/// [`for_each_homomorphism`] through a given target index (`None`: flat).
+fn search_with<F>(
+    src: &Template,
+    dst: &Template,
+    index: Option<&TupleIndex>,
+    f: &mut F,
+) -> ControlFlow<()>
+where
+    F: FnMut(&Homomorphism) -> ControlFlow<()>,
+{
+    match HomSearch::new(src, dst, index) {
         None => ControlFlow::Continue(()),
         Some(mut search) => search.run(0, f),
     }
@@ -505,7 +528,7 @@ mod tests {
     fn indexed_candidate_lists_match_the_flat_scan() {
         // The trie-indexed construction must produce exactly the lists the
         // flat O(|src|·|dst|) reference scan produces, in the same order.
-        let naive = candidate_lists_flat;
+        let naive = |src: &Template, dst: &Template| candidate_lists_in(src, dst, None);
         let mut cat = Catalog::new();
         let r = cat.relation("R", &["A", "B", "C"]).unwrap();
         let s = cat.relation("S", &["A", "B"]).unwrap();
@@ -556,8 +579,9 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// All homomorphisms via the production search (trie-indexed,
-    /// bound-attribute pruned), in visit order.
+    /// All homomorphisms via the production search (flat on small targets,
+    /// trie-indexed and bound-attribute pruned on large ones), in visit
+    /// order.
     fn collect_homs(src: &Template, dst: &Template) -> Vec<Homomorphism> {
         let mut out = Vec::new();
         let _ = for_each_homomorphism(src, dst, &mut |h| {
@@ -621,7 +645,7 @@ mod tests {
                 }
             }
         }
-        let Some(cands) = candidate_lists_flat(src, dst) else {
+        let Some(cands) = candidate_lists_in(src, dst, None) else {
             return Vec::new();
         };
         let mut order: Vec<usize> = (0..src.len()).collect();
@@ -688,8 +712,8 @@ mod tests {
             // Both probe orders: a → b and b → a.
             for (src, dst) in [(&a, &b), (&b, &a)] {
                 assert_eq!(
-                    candidate_lists(src, dst),
-                    candidate_lists_flat(src, dst),
+                    candidate_lists_in(src, dst, Some(dst.tuple_index())),
+                    candidate_lists_in(src, dst, None),
                     "candidate lists diverged in round {round}"
                 );
                 assert_eq!(
@@ -699,6 +723,66 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Targets below `DYNAMIC_PRUNE_MIN` tuples are searched flat; forcing
+    /// them through their trie index must give the same homomorphisms in
+    /// the same order.
+    #[test]
+    fn flat_and_indexed_searches_agree_on_small_targets() {
+        let mut cat = Catalog::new();
+        let r = cat.relation("R", &["A", "B", "C"]).unwrap();
+        let s = cat.relation("S", &["B", "C"]).unwrap();
+        let mut state = 0xF1A7_u64;
+        let random_template = |state: &mut u64, max: u64| -> Template {
+            loop {
+                let rows: Vec<TaggedTuple> = (0..1 + splitmix(state) % max)
+                    .map(|_| {
+                        let rel = if splitmix(state).is_multiple_of(2) {
+                            r
+                        } else {
+                            s
+                        };
+                        let row = cat
+                            .scheme_of(rel)
+                            .iter()
+                            .map(|a| Symbol::new(a, (splitmix(state) % 3) as u32))
+                            .collect();
+                        TaggedTuple::new(rel, row, &cat).unwrap()
+                    })
+                    .collect();
+                if let Ok(t) = Template::new(rows) {
+                    return t;
+                }
+            }
+        };
+        let collect = |src: &Template, dst: &Template, index: Option<&TupleIndex>| {
+            let mut out = Vec::new();
+            let _ = search_with(src, dst, index, &mut |h| {
+                out.push(h.clone());
+                ControlFlow::Continue(())
+            });
+            out
+        };
+        let mut nonempty = 0;
+        for round in 0..300 {
+            let src = random_template(&mut state, 6);
+            let dst = random_template(&mut state, DYNAMIC_PRUNE_MIN as u64 - 1);
+            assert!(dst.len() < DYNAMIC_PRUNE_MIN);
+            assert!(
+                target_index(&dst).is_none(),
+                "small targets are not indexed"
+            );
+            let flat = collect(&src, &dst, None);
+            assert_eq!(
+                flat,
+                collect(&src, &dst, Some(dst.tuple_index())),
+                "round {round}"
+            );
+            assert_eq!(flat, collect_homs(&src, &dst), "round {round}");
+            nonempty += usize::from(!flat.is_empty());
+        }
+        assert!(nonempty > 50, "only {nonempty} rounds found homomorphisms");
     }
 
     #[test]

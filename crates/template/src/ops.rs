@@ -15,8 +15,7 @@
 
 use crate::error::TemplateError;
 use crate::template::Template;
-use std::collections::HashMap;
-use viewcap_base::{Scheme, Symbol};
+use viewcap_base::{AttrId, Scheme, Symbol};
 
 /// The template realizing `π_X ∘ T`.
 ///
@@ -31,19 +30,25 @@ pub fn project_template(t: &Template, x: &Scheme) -> Result<Template, TemplateEr
     }
     let mut gen = t.symbol_gen();
     // One fresh symbol per hidden attribute, shared by every occurrence of
-    // the old 0_A (this is what creates cross-tuple symbol sharing).
-    let mut fresh: HashMap<u32, Symbol> = HashMap::new();
+    // the old 0_A (this is what creates cross-tuple symbol sharing). The
+    // hidden attributes are `TRS − X`, sorted, so the images are a small
+    // binary-searched vector, minted on first occurrence.
+    let mut fresh: Vec<(AttrId, Option<Symbol>)> = trs
+        .iter()
+        .filter(|&a| !x.contains(a))
+        .map(|a| (a, None))
+        .collect();
     let tuples = t
         .tuples()
         .iter()
         .map(|tup| {
             tup.map_symbols(|s| {
-                if s.is_distinguished() && !x.contains(s.attr()) {
-                    *fresh
-                        .entry(s.attr().0)
-                        .or_insert_with(|| gen.fresh(s.attr()))
-                } else {
-                    s
+                if !s.is_distinguished() {
+                    return s;
+                }
+                match fresh.binary_search_by_key(&s.attr(), |&(a, _)| a) {
+                    Ok(pos) => *fresh[pos].1.get_or_insert_with(|| gen.fresh(s.attr())),
+                    Err(_) => s,
                 }
             })
         })

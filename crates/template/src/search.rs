@@ -14,18 +14,29 @@
 //! root  ::=  join
 //! ```
 //!
-//! Completeness rests on the *syntactic subtemplate lemma* (DESIGN.md §5.3):
+//! Completeness rests on the *syntactic subtemplate lemma*, stated with the
+//! membership procedure in the module doc of `viewcap-core`'s `capacity`:
 //! whenever the sought query is realizable at all, it is realizable by a
 //! normalized expression whose atom count is bounded by the tuple count of
-//! the (reduced) goal template. One corner is documented there and in
-//! [`for_each_candidate`]: skeletons requiring a fully hidden operand whose
-//! hidden columns overlap the live TRS may escape the normalized grammar;
-//! the literal paper procedure (`viewcap-core::paper_procedure`) serves as a
-//! cross-check on small instances.
+//! the (reduced) goal template. One corner may escape the normalized
+//! grammar: skeletons requiring a fully hidden operand whose hidden columns
+//! overlap the live TRS. The literal paper procedure
+//! (`viewcap-core::paper_procedure`) cross-checks the search on small
+//! instances (`tests/decidability.rs`).
 //!
 //! Candidates are deduplicated *semantically*: reduced templates are
 //! bucketed by canonical key and confirmed by homomorphism, so each distinct
 //! mapping is visited once, which keeps level sizes small.
+//!
+//! **Costs.** A level build pays for each candidate once. Every join and
+//! every projection is built, reduced and canonically keyed once
+//! ([`SearchOptions::dedup_key`]); part or join dedup and then root dedup
+//! share that key. Exact keys are complete for isomorphism, so dedup keeps
+//! only the key; inexact keys also keep their templates, which a key match
+//! confirms by homomorphism. Roots are indices into the level's parts and
+//! joins, not copies. Each TRS's proper subsets are sorted once per level
+//! build. What is left per candidate is the template algebra (join,
+//! projection), the reduction's homomorphism tests and one key.
 
 use crate::canon::{canonical_key, CanonKey};
 use crate::hom::equivalent_templates;
@@ -33,7 +44,7 @@ use crate::index::{scheme_key, ByteTrie};
 use crate::ops::{join_templates, project_template};
 use crate::reduce::reduce;
 use crate::template::Template;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::ops::ControlFlow;
 use viewcap_base::{Catalog, RelId, Scheme};
@@ -84,7 +95,8 @@ impl fmt::Display for SearchOverflow {
 impl std::error::Error for SearchOverflow {}
 
 /// Counters describing what a search did — for the benchmark harness and
-/// the dedup-ablation study (EXPERIMENTS.md B8).
+/// the dedup ablation (`disabling_dedup_preserves_answers` below and
+/// `crates/bench/benches/ablation.rs`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Join combinations examined.
@@ -121,6 +133,24 @@ impl Default for SearchOptions {
     }
 }
 
+impl SearchOptions {
+    /// The canonical key semantic dedup files `t` under — computed once
+    /// per candidate and shared by every [`Dedup`] the candidate meets;
+    /// `None` when dedup is off.
+    pub(crate) fn dedup_key(&self, t: &Template) -> Option<CanonKey> {
+        self.semantic_dedup.then(|| canonical_key(t))
+    }
+
+    /// `t` reduced when intermediates are reduced, as is otherwise.
+    fn reduced(&self, t: Template) -> Template {
+        if self.reduce_intermediates {
+            reduce(&t)
+        } else {
+            t
+        }
+    }
+}
+
 use viewcap_expr::Expr;
 
 /// Callback type for the combination enumerator.
@@ -153,48 +183,62 @@ pub(crate) struct Part {
     pub(crate) tpl: Template,
 }
 
+/// A candidate kept by part or join dedup, with the canonical key it was
+/// deduplicated under — root dedup reuses it (`None` when dedup is off).
+pub(crate) struct Keyed {
+    pub(crate) part: Part,
+    pub(crate) key: Option<CanonKey>,
+}
+
 /// Semantic dedup: canonical-key buckets confirmed by equivalence.
+///
+/// Exact keys are complete for isomorphism, so for them the set of keys
+/// seen is the whole record; only inexact keys keep their templates, to
+/// confirm a key match by homomorphism.
 ///
 /// Insertions are journaled so a partially built level can be rolled back
 /// (see [`CandidateSpace::ensure_level`]); [`Dedup::commit`] discards the
 /// journal once a level is final.
+#[derive(Default)]
 pub(crate) struct Dedup {
-    enabled: bool,
-    buckets: HashMap<CanonKey, Vec<Template>>,
+    exact: HashSet<CanonKey>,
+    inexact: HashMap<CanonKey, Vec<Template>>,
     trail: Vec<CanonKey>,
 }
 
 impl Dedup {
-    pub(crate) fn new(enabled: bool) -> Self {
-        Dedup {
-            enabled,
-            buckets: HashMap::new(),
-            trail: Vec::new(),
-        }
-    }
-
-    /// Returns `true` when an equivalent template was already recorded.
-    pub(crate) fn seen(&mut self, t: &Template, stats: &mut SearchStats) -> bool {
-        if !self.enabled {
+    /// Returns `true` when a template equivalent to `t` was already
+    /// recorded, and records `t` otherwise. `key` is `t`'s
+    /// [`SearchOptions::dedup_key`]; `None` (dedup off) never hits.
+    pub(crate) fn seen_keyed(
+        &mut self,
+        key: Option<&CanonKey>,
+        t: &Template,
+        stats: &mut SearchStats,
+    ) -> bool {
+        let Some(key) = key else {
             return false;
-        }
-        let key = canonical_key(t);
-        let exact = key.is_exact();
-        let bucket = self.buckets.entry(key.clone()).or_default();
-        // Exact keys are complete for isomorphism, so a nonempty bucket
-        // already holds an isomorphic — hence equivalent — template; the
-        // homomorphism confirm is only needed for the inexact fallback.
-        let hit = if exact {
-            !bucket.is_empty()
+        };
+        // An exact key match means an isomorphic — hence equivalent —
+        // template; the homomorphism confirm is only needed for the
+        // inexact fallback.
+        let hit = if key.is_exact() {
+            self.exact.contains(key)
         } else {
-            bucket.iter().any(|u| equivalent_templates(u, t))
+            self.inexact
+                .get(key)
+                .is_some_and(|bucket| bucket.iter().any(|u| equivalent_templates(u, t)))
         };
         if hit {
             stats.dedup_hits += 1;
             return true;
         }
-        bucket.push(t.clone());
-        self.trail.push(key);
+        if key.is_exact() {
+            self.exact.insert(key.clone());
+        } else {
+            self.inexact.entry(key.clone()).or_default().push(t.clone());
+        }
+        self.trail.push(key.clone());
         false
     }
 
@@ -204,14 +248,18 @@ impl Dedup {
     }
 
     /// Undo every insertion after `checkpoint` (insertions are push-only,
-    /// so reverse popping restores the buckets exactly).
+    /// so reverse popping restores the record exactly).
     fn rollback(&mut self, checkpoint: usize) {
         while self.trail.len() > checkpoint {
             let key = self.trail.pop().expect("trail len checked");
-            let bucket = self.buckets.get_mut(&key).expect("journaled key exists");
+            if key.is_exact() {
+                self.exact.remove(&key);
+                continue;
+            }
+            let bucket = self.inexact.get_mut(&key).expect("journaled key exists");
             bucket.pop();
             if bucket.is_empty() {
-                self.buckets.remove(&key);
+                self.inexact.remove(&key);
             }
         }
     }
@@ -219,6 +267,42 @@ impl Dedup {
     /// Forget the journal (the recorded insertions are now permanent).
     pub(crate) fn commit(&mut self) {
         self.trail.clear();
+    }
+}
+
+/// What one level build accumulates besides its joins: the new parts with
+/// their keys, and each projected TRS's proper subsets, sorted once.
+struct LevelBuild<'a> {
+    catalog: &'a Catalog,
+    options: SearchOptions,
+    ranks: Vec<u32>,
+    subsets: HashMap<Scheme, Vec<Scheme>>,
+    parts: Vec<Keyed>,
+}
+
+impl LevelBuild<'_> {
+    /// Keep the proper projections of `tpl` (the template of `expr`) that
+    /// part dedup has not seen, in content order.
+    fn project(&mut self, tpl: &Template, expr: &Expr, dedup: &mut Dedup, stats: &mut SearchStats) {
+        let ranks = &self.ranks;
+        let subsets = self
+            .subsets
+            .entry(tpl.trs())
+            .or_insert_with_key(|trs| canonical_proper_subsets(trs, ranks));
+        for x in subsets.iter() {
+            let p = self
+                .options
+                .reduced(project_template(tpl, x).expect("X ⊆ TRS"));
+            let key = self.options.dedup_key(&p);
+            if !dedup.seen_keyed(key.as_ref(), &p, stats) {
+                let expr = Expr::project(expr.clone(), x.clone(), self.catalog)
+                    .expect("X ⊆ TRS of the projected expression");
+                self.parts.push(Keyed {
+                    part: Part { expr, tpl: p },
+                    key,
+                });
+            }
+        }
     }
 }
 
@@ -232,11 +316,12 @@ pub(crate) struct Level {
     /// Parts kept at this level (what a fresh search checks against
     /// [`SearchLimits::max_level_parts`]).
     pub(crate) parts_kept: usize,
-    /// Deduplicated candidate roots in fresh visit order (new parts, then
-    /// new joins).
-    pub(crate) roots: Vec<Part>,
-    /// Root indices keyed by target relation scheme (rendered as bytes),
-    /// preserving order within a scheme.
+    /// Deduplicated candidate roots in fresh visit order, as indices into
+    /// the level's new parts followed by its joins
+    /// ([`CandidateSpace::candidate`]).
+    pub(crate) roots: Vec<u32>,
+    /// The same indices keyed by target relation scheme (rendered as
+    /// bytes), preserving order within a scheme.
     pub(crate) roots_by_trs: ByteTrie,
     /// The joins committed at this level, in enumeration order — kept so a
     /// snapshot can replay `join_dedup` exactly (roots alone lose joins
@@ -290,9 +375,9 @@ impl CandidateSpace {
             options,
             parts: vec![Vec::new()],
             levels: Vec::new(),
-            part_dedup: Dedup::new(options.semantic_dedup),
-            join_dedup: Dedup::new(options.semantic_dedup),
-            root_dedup: Dedup::new(options.semantic_dedup),
+            part_dedup: Dedup::default(),
+            join_dedup: Dedup::default(),
+            root_dedup: Dedup::default(),
             stats: SearchStats::default(),
             probes: 0,
         }
@@ -357,16 +442,12 @@ impl CandidateSpace {
                 });
             }
             // Visit this level's roots, narrowed to the target scheme.
-            let all: Vec<u32>;
             let indices: &[u32] = match target_trs {
                 Some(want) => level.roots_by_trs.get(&scheme_key(want)),
-                None => {
-                    all = (0..level.roots.len() as u32).collect();
-                    &all
-                }
+                None => &level.roots,
             };
             for &i in indices {
-                let root = &level.roots[i as usize];
+                let root = self.candidate(k, i);
                 probe_stats.roots_visited += 1;
                 if f(&root.expr, &root.tpl).is_break() {
                     return Ok((true, probe_stats));
@@ -414,58 +495,58 @@ impl CandidateSpace {
         }
     }
 
+    /// Candidate `i` of level `k`: the level's new parts, then its joins.
+    fn candidate(&self, k: usize, i: u32) -> &Part {
+        let parts = &self.parts[k];
+        let i = i as usize;
+        parts
+            .get(i)
+            .unwrap_or_else(|| &self.levels[k - 1].joins[i - parts.len()])
+    }
+
     fn build_level(
         &mut self,
         catalog: &Catalog,
         k: usize,
         limits: &SearchLimits,
     ) -> Result<(), SearchOverflow> {
+        let options = self.options;
+        let mut build = LevelBuild {
+            catalog,
+            options,
+            ranks: catalog.attr_name_ranks(),
+            subsets: HashMap::new(),
+            parts: Vec::new(),
+        };
+        let mut new_joins: Vec<Keyed> = Vec::new();
+        // Visits continue cumulatively across levels, exactly as one fresh
+        // bottom-up search would count them.
+        let mut visits: u64 = self.levels.last().map_or(0, |l| l.visits_after);
         let CandidateSpace {
             atoms,
-            options,
             parts,
-            levels,
             part_dedup,
             join_dedup,
-            root_dedup,
             stats,
             ..
         } = self;
-        let maybe_reduce = |t: &Template| {
-            if options.reduce_intermediates {
-                reduce(t)
-            } else {
-                t.clone()
-            }
-        };
-        // Visits continue cumulatively across levels, exactly as one fresh
-        // bottom-up search would count them.
-        let mut visits: u64 = levels.last().map_or(0, |l| l.visits_after);
-        let ranks = catalog.attr_name_ranks();
 
         // -------- new parts of size k (and, for k ≥ 2, new joins of size k)
-        let mut new_parts: Vec<Part> = Vec::new();
-        let mut new_joins: Vec<Part> = Vec::new();
-
         if k == 1 {
             for &r in atoms.iter() {
                 let tpl = Template::atom(r, catalog);
-                if !part_dedup.seen(&tpl, stats) {
-                    new_parts.push(Part {
-                        expr: Expr::rel(r),
-                        tpl: tpl.clone(),
+                let expr = Expr::rel(r);
+                let key = options.dedup_key(&tpl);
+                if !part_dedup.seen_keyed(key.as_ref(), &tpl, stats) {
+                    build.parts.push(Keyed {
+                        part: Part {
+                            expr: expr.clone(),
+                            tpl: tpl.clone(),
+                        },
+                        key,
                     });
                 }
-                // Proper projections of the atom, in content order.
-                for x in canonical_proper_subsets(&tpl.trs(), &ranks) {
-                    let p = maybe_reduce(&project_template(&tpl, &x).expect("X ⊆ TRS"));
-                    if !part_dedup.seen(&p, stats) {
-                        new_parts.push(Part {
-                            expr: Expr::project(Expr::rel(r), x, catalog).expect("X ⊆ TRS of atom"),
-                            tpl: p,
-                        });
-                    }
-                }
+                build.project(&tpl, &expr, part_dedup, stats);
             }
         } else {
             // Join combinations: strictly increasing (size, index) choices
@@ -480,69 +561,71 @@ impl CandidateSpace {
                 limits,
                 &mut |chosen| {
                     let children: Vec<&Part> = chosen.iter().map(|&(s, i)| &parts[s][i]).collect();
-                    let mut tpl = children[0].tpl.clone();
-                    for c in &children[1..] {
+                    let mut tpl = join_templates(&children[0].tpl, &children[1].tpl);
+                    for c in &children[2..] {
                         tpl = join_templates(&tpl, &c.tpl);
                     }
-                    let tpl = maybe_reduce(&tpl);
-                    if join_dedup.seen(&tpl, stats) {
+                    let tpl = options.reduced(tpl);
+                    let key = options.dedup_key(&tpl);
+                    if join_dedup.seen_keyed(key.as_ref(), &tpl, stats) {
                         return Ok(());
                     }
                     let expr = Expr::join(children.iter().map(|c| c.expr.clone()).collect())
                         .expect("≥ 2 children");
-                    // Proper projections become parts of size k, in
-                    // content order.
-                    for x in canonical_proper_subsets(&tpl.trs(), &ranks) {
-                        let p = maybe_reduce(&project_template(&tpl, &x).expect("X ⊆ TRS"));
-                        if !part_dedup.seen(&p, stats) {
-                            new_parts.push(Part {
-                                expr: Expr::project(expr.clone(), x, catalog)
-                                    .expect("X ⊆ TRS of join"),
-                                tpl: p,
-                            });
-                        }
-                    }
-                    new_joins.push(Part { expr, tpl });
+                    // Proper projections become parts of size k.
+                    build.project(&tpl, &expr, part_dedup, stats);
+                    new_joins.push(Keyed {
+                        part: Part { expr, tpl },
+                        key,
+                    });
                     Ok(())
                 },
             )?;
             debug_assert!(flow.is_continue());
         }
+        self.commit_level(visits, build.parts, new_joins);
+        Ok(())
+    }
 
-        // Commit the level. The kept-part count is recorded (not enforced)
-        // here: level content is limit-independent, so the budget check is
-        // the *probe's* job — `probe` errs before visiting a level whose
-        // recorded count exceeds its own `max_level_parts`, exactly where a
-        // fresh search with those limits would have erred.
-        stats.parts_kept += new_parts.len() as u64;
-        stats.combos = visits;
-        let mut roots: Vec<Part> = Vec::new();
+    /// Commit a level whose parts and joins passed part and join dedup:
+    /// root-dedup them under the keys they were kept with, index the roots
+    /// by TRS, and record the level. Level builds and snapshot loads both
+    /// commit through here.
+    ///
+    /// The kept-part count is recorded (not enforced) here: level content
+    /// is limit-independent, so the budget check is the *probe's* job —
+    /// `probe` errs before visiting a level whose recorded count exceeds
+    /// its own `max_level_parts`, exactly where a fresh search with those
+    /// limits would have erred.
+    pub(crate) fn commit_level(&mut self, visits_after: u64, parts: Vec<Keyed>, joins: Vec<Keyed>) {
+        self.stats.parts_kept += parts.len() as u64;
+        self.stats.combos = visits_after;
+        let mut roots: Vec<u32> = Vec::new();
         let mut roots_by_trs = ByteTrie::new();
-        for cand in new_parts.iter().chain(new_joins.iter()) {
+        for (i, cand) in parts.iter().chain(&joins).enumerate() {
             // Root dedup is TRS-blind here, where a fresh filtered search
             // only dedups roots matching its target. The decisions agree:
             // equivalent templates always share a TRS, so whether a root is
             // a duplicate depends only on earlier same-TRS roots — a set the
             // filter never changes.
-            if !root_dedup.seen(&cand.tpl, stats) {
-                stats.roots_visited += 1;
-                let idx = roots.len() as u32;
-                roots_by_trs.insert(&scheme_key(&cand.tpl.trs()), idx);
-                roots.push(Part {
-                    expr: cand.expr.clone(),
-                    tpl: cand.tpl.clone(),
-                });
+            let tpl = &cand.part.tpl;
+            if !self
+                .root_dedup
+                .seen_keyed(cand.key.as_ref(), tpl, &mut self.stats)
+            {
+                self.stats.roots_visited += 1;
+                roots_by_trs.insert(&scheme_key(&tpl.trs()), i as u32);
+                roots.push(i as u32);
             }
         }
-        levels.push(Level {
-            visits_after: visits,
-            parts_kept: new_parts.len(),
+        self.levels.push(Level {
+            visits_after,
+            parts_kept: parts.len(),
             roots,
             roots_by_trs,
-            joins: new_joins,
+            joins: joins.into_iter().map(|c| c.part).collect(),
         });
-        parts.push(new_parts);
-        Ok(())
+        self.parts.push(parts.into_iter().map(|c| c.part).collect());
     }
 }
 

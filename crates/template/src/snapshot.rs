@@ -34,8 +34,7 @@
 //! options disagree with the loading space all fail cleanly with a
 //! [`SnapshotError`] — never a panic, never a silently wrong space.
 
-use crate::index::{scheme_key, ByteTrie};
-use crate::search::{CandidateSpace, Level, Part, SearchOptions, SearchStats};
+use crate::search::{CandidateSpace, Keyed, Part, SearchOptions, SearchStats};
 use crate::template::{TaggedTuple, Template};
 use std::fmt;
 use viewcap_base::{AttrId, Catalog, ContentHasher, RelId, Scheme, Symbol};
@@ -510,45 +509,37 @@ pub fn load_space(
         for _ in 0..n_parts {
             let expr = read_expr(&mut r, &tables, catalog, 0)?;
             let tpl = read_template(&mut r, &tables, catalog)?;
-            if space.part_dedup.seen(&tpl, &mut scratch) {
+            let key = options.dedup_key(&tpl);
+            if space
+                .part_dedup
+                .seen_keyed(key.as_ref(), &tpl, &mut scratch)
+            {
                 return Err(SnapshotError::Malformed("duplicate part in snapshot"));
             }
-            parts.push(Part { expr, tpl });
+            parts.push(Keyed {
+                part: Part { expr, tpl },
+                key,
+            });
         }
         let n_joins = r.count(9, "level joins")?;
         let mut joins = Vec::with_capacity(n_joins);
         for _ in 0..n_joins {
             let expr = read_expr(&mut r, &tables, catalog, 0)?;
             let tpl = read_template(&mut r, &tables, catalog)?;
-            if space.join_dedup.seen(&tpl, &mut scratch) {
+            let key = options.dedup_key(&tpl);
+            if space
+                .join_dedup
+                .seen_keyed(key.as_ref(), &tpl, &mut scratch)
+            {
                 return Err(SnapshotError::Malformed("duplicate join in snapshot"));
             }
-            joins.push(Part { expr, tpl });
+            joins.push(Keyed {
+                part: Part { expr, tpl },
+                key,
+            });
         }
         // Commit exactly as `build_level` does.
-        space.stats.parts_kept += parts.len() as u64;
-        space.stats.combos = visits_after;
-        let mut roots: Vec<Part> = Vec::new();
-        let mut roots_by_trs = ByteTrie::new();
-        for cand in parts.iter().chain(joins.iter()) {
-            if !space.root_dedup.seen(&cand.tpl, &mut space.stats) {
-                space.stats.roots_visited += 1;
-                let idx = roots.len() as u32;
-                roots_by_trs.insert(&scheme_key(&cand.tpl.trs()), idx);
-                roots.push(Part {
-                    expr: cand.expr.clone(),
-                    tpl: cand.tpl.clone(),
-                });
-            }
-        }
-        space.levels.push(Level {
-            visits_after,
-            parts_kept: parts.len(),
-            roots,
-            roots_by_trs,
-            joins,
-        });
-        space.parts.push(parts);
+        space.commit_level(visits_after, parts, joins);
     }
     if r.remaining() != 0 {
         return Err(SnapshotError::Malformed("trailing bytes after last level"));

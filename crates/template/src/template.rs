@@ -264,17 +264,27 @@ impl Template {
     /// (consistently: equal symbols stay equal). Used to make templates
     /// symbol-disjoint before a join (Algorithm 2.1.1(iii)).
     pub fn relabel_disjoint(&self, gen: &mut SymbolGen) -> Template {
-        let mut map = std::collections::HashMap::new();
+        // Images of the distinct nondistinguished symbols (sorted, so
+        // binary-searched), minted in first-occurrence order.
+        let mut map: Vec<(Symbol, Option<Symbol>)> = self
+            .symbols()
+            .filter(|s| !s.is_distinguished())
+            .map(|s| (s, None))
+            .collect();
+        map.sort_unstable_by_key(|&(s, _)| s);
+        map.dedup_by_key(|&mut (s, _)| s);
         let tuples = self
             .tuples
             .iter()
             .map(|t| {
                 t.map_symbols(|s| {
                     if s.is_distinguished() {
-                        s
-                    } else {
-                        *map.entry(s).or_insert_with(|| gen.fresh(s.attr()))
+                        return s;
                     }
+                    let pos = map
+                        .binary_search_by_key(&s, |&(k, _)| k)
+                        .expect("every nondistinguished symbol is listed");
+                    *map[pos].1.get_or_insert_with(|| gen.fresh(s.attr()))
                 })
             })
             .collect();

@@ -130,3 +130,63 @@ fn snapshot_hydration_preserves_transcripts_on_permuted_catalogs() {
         assert_eq!((cold.yes, cold.no), (warm.yes, warm.no), "seed {seed}");
     }
 }
+
+/// Level content, pinned: a three-λ candidate space over query schemes of
+/// `chain_world(4)`, built to bound 2. The counters, the roots (expression
+/// and reduced template, in visit order) and the snapshot bytes were
+/// recorded before the level-build bookkeeping was made cheaper; a build
+/// that does the same work more cheaply reproduces all of them exactly.
+#[test]
+fn chain_world_level_content_is_pinned() {
+    use std::ops::ControlFlow;
+    use viewcap_base::ContentHasher;
+    use viewcap_template::{save_space, CandidateSpace, SearchLimits, SearchOptions};
+
+    let world = viewcap_gen::chain_world(4);
+    let mut catalog = world.catalog.clone();
+    // TRSs of two-atom chain queries: π{A0,A2}(R0 ⋈ R1), R1 ⋈ R2 and
+    // π{A2,A4}(R2 ⋈ R3).
+    let atoms: Vec<_> = [vec!["A0", "A2"], vec!["A1", "A2", "A3"], vec!["A2", "A4"]]
+        .iter()
+        .map(|names| {
+            let scheme = catalog.scheme(names).unwrap();
+            catalog.fresh_relation("lam", scheme)
+        })
+        .collect();
+    let mut space = CandidateSpace::new(&atoms, SearchOptions::default());
+    let mut roots = ContentHasher::new();
+    let mut n_roots = 0u64;
+    space
+        .probe(&catalog, 2, None, &SearchLimits::default(), &mut |e, t| {
+            roots.str(&format!("{e:?} {t:?}"));
+            n_roots += 1;
+            ControlFlow::Continue(())
+        })
+        .unwrap();
+    let stats = space.stats();
+    let bytes = save_space(&space, &catalog);
+    let mut snapshot = ContentHasher::new();
+    for chunk in bytes.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        snapshot.word(u64::from_le_bytes(word));
+    }
+    let observed = format!(
+        "combos={} roots_visited={} parts_kept={} dedup_hits={} roots={} \
+         roots_digest={:032x} snapshot_len={} snapshot_digest={:032x}",
+        stats.combos,
+        stats.roots_visited,
+        stats.parts_kept,
+        stats.dedup_hits,
+        n_roots,
+        roots.finish(),
+        bytes.len(),
+        snapshot.finish(),
+    );
+    assert_eq!(
+        observed,
+        "combos=78 roots_visited=121 parts_kept=104 dedup_hits=284 roots=121 \
+         roots_digest=d5e1c48a98efe5671e57b4d4bc0c69c2 \
+         snapshot_len=15296 snapshot_digest=4b62fda63f9c934885331b323b017069"
+    );
+}
