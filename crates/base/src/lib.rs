@@ -17,11 +17,11 @@
 //! * **instantiations** `α` mapping every relation name to a relation of its
 //!   type ([`instance`]).
 //!
-//! Two representation decisions (documented in `DESIGN.md`) shape the whole
-//! workspace:
+//! Two representation decisions shape the whole workspace:
 //!
 //! 1. Domains are disjoint *by construction*: a [`Symbol`] carries its
-//!    attribute, so it cannot occur in a foreign column.
+//!    attribute, so it cannot occur in a foreign column (pinned by the
+//!    `domains_are_disjoint` test in `symbol.rs`).
 //! 2. Data values and tableau symbols are the *same type*, exactly as in the
 //!    paper, where templates are embedded into databases by valuations
 //!    `Dom(A) → Dom(A)`.

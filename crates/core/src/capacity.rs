@@ -54,7 +54,9 @@ pub struct SearchBudget {
     pub limits: SearchLimits,
     /// Override the atom bound (default: `#(reduce(Q))`, the completeness
     /// bound of the syntactic subtemplate lemma). Raising it never changes
-    /// answers; it exists for experimentation and the ablation benches.
+    /// answers (`tests/decidability.rs`'s
+    /// `raising_the_atom_bound_changes_nothing`); it exists for
+    /// experimentation.
     pub max_atoms_override: Option<usize>,
 }
 

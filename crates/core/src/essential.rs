@@ -17,8 +17,9 @@
 //! construction of `T` from `ℬ`. We decide this by enumerating exhibited
 //! constructions bounded as in the capacity procedure (the Lemma 2.4.7
 //! restriction keeps homomorphic images and block structure intact, so the
-//! bound loses nothing; DESIGN.md §5.4) together with *all* homomorphisms
-//! per construction.
+//! bound loses nothing; `tests/paper_examples.rs` checks the result on
+//! Figure 2 and `tests/theorems.rs` against Corollary 3.2.6 and Theorems
+//! 3.3.5/3.3.7) together with *all* homomorphisms per construction.
 //!
 //! **Corollary 3.2.6** (essential ⇒ the containing template is
 //! nonredundant), **Theorem 3.3.5** (each reduced member of a nonredundant

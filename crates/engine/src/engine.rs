@@ -1079,49 +1079,109 @@ mod tests {
         (cat, view, goals)
     }
 
+    /// A deeper one-view workload over `R(A,B,C)` and `S(C,D)`: most goals
+    /// reduce to 3–4 atoms, so each forces the enumeration up to that
+    /// level, and four non-members force it exhaustively.
+    fn deep_shared_goal_setup() -> (Catalog, View, Vec<Query>) {
+        let mut cat = Catalog::new();
+        cat.relation("R", &["A", "B", "C"]).unwrap();
+        cat.relation("S", &["C", "D"]).unwrap();
+        let ab = cat.scheme(&["A", "B"]).unwrap();
+        let bc = cat.scheme(&["B", "C"]).unwrap();
+        let cd = cat.scheme(&["C", "D"]).unwrap();
+        let v1 = cat.fresh_relation("v1", ab);
+        let v2 = cat.fresh_relation("v2", bc);
+        let v3 = cat.fresh_relation("v3", cd);
+        let view = View::from_exprs(
+            vec![
+                (parse_expr("pi{A,B}(R)", &cat).unwrap(), v1),
+                (parse_expr("pi{B,C}(R)", &cat).unwrap(), v2),
+                (parse_expr("pi{C,D}(S)", &cat).unwrap(), v3),
+            ],
+            &cat,
+        )
+        .unwrap();
+        let goals = [
+            // Members.
+            "pi{A}(R) * pi{B}(R) * pi{C}(R)",
+            "pi{A}(R) * pi{B}(R) * pi{D}(S)",
+            "pi{A}(R) * pi{C}(R) * pi{D}(S)",
+            "pi{B}(R) * pi{C}(R) * pi{D}(S)",
+            "pi{A,B}(R) * pi{C}(R) * pi{D}(S)",
+            "pi{A}(R) * pi{B,C}(R) * pi{D}(S)",
+            "pi{A}(R) * pi{B}(R) * pi{C,D}(S)",
+            "pi{A}(R) * pi{B}(R) * pi{C}(R) * pi{D}(S)",
+            "pi{A}(R) * pi{B}(R) * pi{C}(R) * pi{C,D}(S)",
+            "pi{A,B}(R)",
+            "pi{A,C}(pi{A,B}(R) * pi{B,C}(R))",
+            "pi{B,D}(pi{B,C}(R) * pi{C,D}(S))",
+            // Non-members.
+            "pi{A,C}(R) * pi{B}(R) * pi{D}(S)",
+            "pi{A,D}(R * S) * pi{B}(R)",
+            "pi{A,D}(R * S) * pi{B}(R) * pi{C}(R)",
+            "R * pi{D}(S)",
+        ]
+        .iter()
+        .map(|src| Query::from_expr(parse_expr(src, &cat).unwrap(), &cat))
+        .collect();
+        (cat, view, goals)
+    }
+
     #[test]
     fn one_view_batches_share_a_single_context() {
-        let (cat, view, goals) = shared_goal_setup();
-        let mut workload = Workload::new();
-        for (i, goal) in goals.iter().enumerate() {
-            workload.push(
-                format!("goal {i}"),
-                Check::Member {
-                    view: view.clone(),
-                    goal: goal.clone(),
-                },
-            );
-        }
-        let engine = Engine::new();
-        let outcome = engine.run_batch(&workload, &cat, 4);
-        assert_eq!(outcome.total, goals.len());
-        let stats = engine.enum_stats();
-        assert_eq!(stats.contexts, 1, "one view, one context");
-        assert_eq!(stats.probes, goals.len() as u64);
-        assert!(stats.combos > 0);
-
-        // The amortization is real: per-goal engines (fresh context each)
-        // pay strictly more total enumeration work.
-        let mut per_goal_combos = 0;
-        for goal in &goals {
-            let fresh = Engine::new();
-            fresh
-                .decide(
-                    &Check::Member {
+        for (cat, view, goals) in [shared_goal_setup(), deep_shared_goal_setup()] {
+            let mut workload = Workload::new();
+            for (i, goal) in goals.iter().enumerate() {
+                workload.push(
+                    format!("goal {i}"),
+                    Check::Member {
                         view: view.clone(),
                         goal: goal.clone(),
                     },
-                    &cat,
-                )
-                .unwrap();
-            per_goal_combos += fresh.enum_stats().combos;
+                );
+            }
+            let mut shared = None;
+            for jobs in [1, 4] {
+                let engine = Engine::new();
+                let outcome = engine.run_batch(&workload, &cat, jobs);
+                assert_eq!(outcome.total, goals.len());
+                let stats = engine.enum_stats();
+                assert_eq!(stats.contexts, 1, "one view, one context");
+                assert_eq!(stats.probes, goals.len() as u64);
+                assert!(stats.combos > 0);
+                let verdicts: Vec<bool> = outcome
+                    .results
+                    .iter()
+                    .map(|r| r.as_ref().unwrap().verdict.is_yes())
+                    .collect();
+                let run = (stats.combos, verdicts);
+                assert_eq!(*shared.get_or_insert_with(|| run.clone()), run);
+            }
+            let (shared_combos, shared_verdicts) = shared.unwrap();
+
+            // The amortization is real: per-goal engines (fresh context
+            // each) pay strictly more total enumeration work, for the same
+            // verdicts.
+            let mut per_goal_combos = 0;
+            for (goal, &shared_verdict) in goals.iter().zip(&shared_verdicts) {
+                let fresh = Engine::new();
+                let decision = fresh
+                    .decide(
+                        &Check::Member {
+                            view: view.clone(),
+                            goal: goal.clone(),
+                        },
+                        &cat,
+                    )
+                    .unwrap();
+                assert_eq!(decision.verdict.is_yes(), shared_verdict);
+                per_goal_combos += fresh.enum_stats().combos;
+            }
+            assert!(
+                shared_combos < per_goal_combos,
+                "shared {shared_combos} vs per-goal {per_goal_combos}"
+            );
         }
-        assert!(
-            stats.combos < per_goal_combos,
-            "shared {} vs per-goal {}",
-            stats.combos,
-            per_goal_combos
-        );
     }
 
     #[test]

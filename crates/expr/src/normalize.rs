@@ -1,6 +1,7 @@
 //! Expression normalization.
 //!
-//! Normal form (used by the bounded decision procedures; DESIGN.md §5.3):
+//! Normal form (used by the bounded decision procedures; the tests below and
+//! `normalize_preserves_mapping_and_atoms` in `tests/properties.rs` pin it):
 //!
 //! * joins are flattened — no join node has a join child;
 //! * nested projections are collapsed — `π_X(π_Y(E)) ⇒ π_X(E)` (legal

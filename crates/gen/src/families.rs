@@ -1,4 +1,4 @@
-//! Structured workload families for the benchmark harness.
+//! Structured workload families for tests and the benchmark.
 //!
 //! * **Chain**: relations `R₀(A₀,A₁), R₁(A₁,A₂), …` — joins correlate
 //!   neighbours; the template of the full chain join has one tuple per
@@ -59,32 +59,6 @@ pub fn star_join_expr(world: &StructuredWorld) -> Expr {
     Expr::join_all(world.rels.iter().map(|&r| Expr::rel(r)).collect())
 }
 
-/// Build the wide schema of `n` relations `T₀(K,V₀), T₁(K,V₁), …` — every
-/// relation shares the key attribute `K` and owns one private attribute.
-/// At `n ≈ 1000` this is the fleet-catalog shape: a template over the full
-/// family has one tuple per relation *tag*, which is exactly the regime
-/// where the byte-trie tuple index (per-tag buckets) beats a flat
-/// every-pair scan by a factor of `n`.
-pub fn wide_world(n: usize) -> StructuredWorld {
-    assert!(n >= 1);
-    let mut cat = Catalog::new();
-    let key = cat.attr("K");
-    let rels = (0..n)
-        .map(|i| {
-            let v = cat.attr(&format!("V{i}"));
-            let scheme = Scheme::new([key, v]).expect("two attrs");
-            cat.add_relation(&format!("T{i}"), scheme).expect("fresh")
-        })
-        .collect();
-    StructuredWorld { catalog: cat, rels }
-}
-
-/// The wide join `T₀ ⋈ T₁ ⋈ ⋯` — one atom per relation, all correlated
-/// through `K`.
-pub fn wide_join_expr(world: &StructuredWorld) -> Expr {
-    Expr::join_all(world.rels.iter().map(|&r| Expr::rel(r)).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,14 +85,5 @@ mod tests {
         let w = chain_world(1);
         let e = chain_join_expr(&w);
         assert_eq!(e.atom_count(), 1);
-    }
-
-    #[test]
-    fn wide_shapes() {
-        let w = wide_world(1000);
-        assert_eq!(w.rels.len(), 1000);
-        let e = wide_join_expr(&w);
-        assert_eq!(e.atom_count(), 1000);
-        assert_eq!(e.trs(&w.catalog).len(), 1001); // K plus V0..V999
     }
 }

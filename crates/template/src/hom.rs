@@ -568,6 +568,66 @@ mod tests {
         let only_r = Template::new(vec![row_r(0, 1, 2)]).unwrap();
         assert_eq!(candidate_lists(&only_s, &only_r), naive(&only_s, &only_r));
         assert_eq!(candidate_lists(&only_s, &only_r), None);
+
+        // Wide targets: the index hands each source tuple only its tag
+        // bucket, so it examines strictly fewer (source, target) pairs than
+        // the flat scan, and the lists still come out identical.
+        let trie_narrows = |srcs: &[Template], dst: &Template| {
+            let index = dst.tuple_index();
+            let (mut flat_pairs, mut trie_pairs) = (0, 0);
+            for src in srcs {
+                assert_eq!(candidate_lists_in(src, dst, Some(index)), naive(src, dst));
+                flat_pairs += src.len() * dst.len();
+                for st in src.tuples() {
+                    trie_pairs += index.by_tag(st.rel()).len();
+                }
+            }
+            assert!(trie_pairs < flat_pairs, "{trie_pairs} vs {flat_pairs}");
+        };
+        let template = |src: &str, cat: &Catalog| {
+            crate::template_of_expr(&viewcap_expr::parse_expr(src, cat).unwrap(), cat)
+        };
+        // The join shapes normalization probes through `reduce`.
+        let mut cat = Catalog::new();
+        cat.relation("R", &["A", "B", "C"]).unwrap();
+        cat.relation("S", &["C", "D"]).unwrap();
+        let dst = template(
+            "pi{A,B}(R) * pi{B,C}(R) * pi{A,C}(R) * pi{A}(R) * pi{B}(R) * \
+             pi{C}(R) * pi{C,D}(S) * pi{C}(S) * pi{D}(S)",
+            &cat,
+        );
+        let srcs: Vec<Template> = [
+            "pi{A,B}(R) * pi{B,C}(R)",
+            "pi{A}(R) * pi{C,D}(S)",
+            "pi{A,C}(R * S) * pi{B}(R)",
+            "pi{B,D}(pi{B,C}(R) * pi{C,D}(S))",
+        ]
+        .iter()
+        .map(|src| crate::reduce(&template(src, &cat)))
+        .collect();
+        trie_narrows(&srcs, &dst);
+        // A 1000-relation catalog `T_i(K, V_i)`, joined whole, against
+        // sources of 1–8 of its relations.
+        let mut cat = Catalog::new();
+        let rels: Vec<RelId> = (0..1000)
+            .map(|i| {
+                cat.relation(&format!("T{i}"), &["K", &format!("V{i}")])
+                    .unwrap()
+            })
+            .collect();
+        let wide =
+            viewcap_expr::Expr::join_all(rels.into_iter().map(viewcap_expr::Expr::rel).collect());
+        let dst = crate::template_of_expr(&wide, &cat);
+        let srcs: Vec<Template> = [1usize, 2, 4, 8]
+            .iter()
+            .map(|&k| {
+                let atoms: Vec<String> = (0..k)
+                    .map(|i| format!("pi{{K,V{j}}}(T{j})", j = i * (1000 / k)))
+                    .collect();
+                template(&atoms.join(" * "), &cat)
+            })
+            .collect();
+        trie_narrows(&srcs, &dst);
     }
 
     /// Deterministic splitmix64 stream for the seeded differential suite.

@@ -52,8 +52,8 @@ pub use error::TemplateError;
 pub use eval::eval_template;
 pub use from_expr::template_of_expr;
 pub use hom::{
-    candidate_lists, equivalent_templates, find_homomorphism, for_each_homomorphism,
-    template_contains, Homomorphism, Valuation,
+    equivalent_templates, find_homomorphism, for_each_homomorphism, template_contains,
+    Homomorphism, Valuation,
 };
 pub use index::{leapfrog_intersect, scheme_key, ByteTrie, TupleIndex};
 pub use ops::{join_templates, project_template};

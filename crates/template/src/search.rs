@@ -94,9 +94,9 @@ impl fmt::Display for SearchOverflow {
 
 impl std::error::Error for SearchOverflow {}
 
-/// Counters describing what a search did — for the benchmark harness and
-/// the dedup ablation (`disabling_dedup_preserves_answers` below and
-/// `crates/bench/benches/ablation.rs`).
+/// Counters describing what a search did — for the engine's enumeration
+/// statistics and the dedup ablation (`disabling_dedup_preserves_answers`
+/// below).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Join combinations examined.
@@ -110,7 +110,8 @@ pub struct SearchStats {
 }
 
 /// Tuning knobs for the search (the defaults are what the decision
-/// procedures use; the ablation bench flips them).
+/// procedures use; `disabling_dedup_preserves_answers` and
+/// `disabling_reduction_preserves_answers` below flip them).
 #[derive(Clone, Copy, Debug)]
 pub struct SearchOptions {
     /// Deduplicate candidates semantically (canonical-key buckets confirmed

@@ -11,7 +11,8 @@
 //!
 //! ## Protocol
 //!
-//! Requests are a header line, then (for `RUN`) a length-prefixed body:
+//! Requests are a header line of at most [`MAX_HEADER_BYTES`], then (for
+//! `RUN`) a length-prefixed body:
 //!
 //! ```text
 //! RUN <jobs> <mode> <len>\n<len scenario bytes>   mode: cold | warm:<key>
@@ -282,6 +283,12 @@ pub fn serve(config: &ServeConfig) -> Result<(), ServeError> {
     Ok(())
 }
 
+/// The longest request header the daemon reads, newline included. The
+/// longest well-formed header is `RUN <jobs> warm:<key> <len>`; a client
+/// that sends no newline within this many bytes is refused rather than
+/// buffered without bound.
+pub const MAX_HEADER_BYTES: usize = 4096;
+
 fn handle_connection(
     daemon: &Daemon,
     stream: UnixStream,
@@ -289,8 +296,15 @@ fn handle_connection(
 ) -> Result<(), ServeError> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut header = String::new();
-    reader.read_line(&mut header)?;
+    reader
+        .by_ref()
+        .take(MAX_HEADER_BYTES as u64)
+        .read_line(&mut header)?;
     let mut stream = stream;
+    if header.len() == MAX_HEADER_BYTES && !header.ends_with('\n') {
+        respond(&mut stream, false, "request header too long\n")?;
+        return Ok(());
+    }
     let header = header.trim_end_matches('\n');
     let mut words = header.split(' ');
     match words.next() {

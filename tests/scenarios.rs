@@ -19,6 +19,9 @@ fn security_audit_scenario() {
     let out = run_scenario(src).unwrap();
     assert_eq!(out.yes, 2, "report:\n{}", out.report);
     assert_eq!(out.no, 3);
+    // Section 3.1's decree: the view answers name queries but no salary
+    // query that links names to salaries.
+    assert!(out.report.contains("pi{Name}(Staff): YES"));
     assert!(out.report.contains("pi{Name,Salary}(Staff): NO"));
 }
 

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 use viewcap::scenario::{run_scenario_with_engine, ScenarioOptions};
-use viewcap::serve::{client_request, ClientRequest};
+use viewcap::serve::{client_request, ClientRequest, MAX_HEADER_BYTES};
 use viewcap_engine::{merge_cache_bytes, save_cache, Engine, EngineConfig, PileStore};
 use viewcap_gen::{txn_stream, FleetSpec};
 
@@ -178,13 +178,21 @@ fn daemon_rejects_malformed_requests_without_dying() {
     let socket = dir.join("robust.sock");
     let _daemon = start_daemon(&socket, &dir.join("robust.vcappile"));
 
+    // The last request never ends its header: it is refused once the
+    // header limit is reached, while the client still holds the
+    // connection open.
     for request in [
         "NONSENSE\n",
         "RUN not-a-number cold 5\n",
         "RUN 1 tepid 5\n",
         "RUN 1 warm: 5\n",
+        &"R".repeat(MAX_HEADER_BYTES + 1),
     ] {
         let mut stream = UnixStream::connect(&socket).unwrap();
+        // A daemon waiting on the header fails the test instead of hanging it.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
         stream.write_all(request.as_bytes()).unwrap();
         let mut response = String::new();
         stream.read_to_string(&mut response).unwrap();

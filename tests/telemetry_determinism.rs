@@ -147,23 +147,40 @@ fn query_memo_and_pile_append_counters_identical_across_jobs() {
 fn snapshot_excludes_timing_from_counters() {
     // The counter projection must never leak a histogram (timing) value;
     // histogram names are suffixed `_ns` by convention and live only in
-    // the `histograms` map.
+    // the `histograms` map. The histograms, in turn, must hold one sample
+    // per timed call.
     let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     viewcap_obs::set_enabled(true);
     viewcap_obs::reset();
     let src = std::fs::read_to_string("scenarios/example_3_1_5.vcap").expect("scenario");
     let outcome = run_scenario_with(&src, &ScenarioOptions { jobs: 2 }).expect("scenario runs");
+    let trace_events = viewcap_obs::trace_json().matches("\"ph\"").count();
+    viewcap_obs::reset();
+    let src = std::fs::read_to_string("scenarios/normal_form.vcap").expect("scenario");
+    let normalized = run_scenario_with(&src, &ScenarioOptions { jobs: 2 }).expect("scenario runs");
     viewcap_obs::set_enabled(false);
     assert!(
         outcome.metrics.counters.keys().all(|k| !k.ends_with("_ns")),
         "counters must not carry timing"
     );
-    assert!(
-        outcome.metrics.histograms.contains_key("engine.check_ns"),
-        "per-check latency histogram missing"
-    );
-    // Spans-per-check: every computed check opened exactly one span.
+    // Spans-per-check: every computed check opened exactly one span and
+    // recorded exactly one latency sample.
+    let latencies = outcome.metrics.histograms.get("engine.check_ns");
     let spans = outcome.metrics.counters.get("span.engine.check").copied();
     let misses = outcome.metrics.counters.get("engine.cache.miss").copied();
+    assert!(
+        latencies.is_some_and(|h| h.count > 0),
+        "per-check latency histogram missing"
+    );
     assert_eq!(spans, misses, "one engine.check span per computed check");
+    assert_eq!(latencies.map(|h| h.count), spans, "one latency per span");
+    assert!(trace_events > 0, "enabled run emitted no trace events");
+    assert!(
+        normalized
+            .metrics
+            .histograms
+            .get("engine.normalize_ns")
+            .is_some_and(|h| h.count > 0),
+        "per-normalize latency histogram missing"
+    );
 }
